@@ -12,7 +12,7 @@ Ray is initialised by the driver BEFORE this module is imported: nothing here
 - ``queries()`` — one callable per implemented operator/pipeline from
   SURVEY §2 + the training-data operator suite (dedup, similarity search,
   text analysis); see wikicrawl/queries.py.
-- ``oracle_sql()`` — a DuckDB twin for EVERY query (all 82), with
+- ``oracle_sql()`` — a DuckDB twin for EVERY query (all 115), with
   identical column names. Sketch and iterative operators included: q17
   exact pairwise shingle Jaccard (the shingle hash is injective over
   5-byte windows), q18/q22 SimHash via DuckDB's ``md5_number_upper`` +

@@ -88,7 +88,7 @@ def warm_workers(num_cpus: int) -> None:
 
 def calibrate_cpu(n_procs: int) -> float:
     """Median per-process thread_time of ``n_procs`` concurrent pure-CPU
-    loops (scripts/cpu_inflation_probe.py's loop). Measures what one
+    loops (the N-way inflation note in BENCH/BASELINE.md). Measures what one
     cpu-second COSTS on this host at n-way load RIGHT NOW — both the
     shared-VM noise and the platform's N-way inflation, with zero engine
     code. Used to normalize scaling walls to constant-speed cores."""
@@ -140,9 +140,9 @@ def run_crawl(num_cpus: int) -> dict:
             "BENCH_FETCH_BATCH",
             str(min(2048, max(256, BENCH_ENTITIES // 500))))),
         resolve_concurrency=max(2, num_cpus // 4),
-        # BENCH_COMPACT=<N>: enable LSM staging compaction at threshold N
-        staging_compact_files=(int(os.environ["BENCH_COMPACT"])
-                               if os.environ.get("BENCH_COMPACT") else None),
+        # BENCH_COMPACT=<N>: LSM staging compaction threshold (0 disables)
+        staging_compact_files=int(os.environ.get(
+            "BENCH_COMPACT", CrawlConfig.staging_compact_files)),
         n_frontier_shards=4,
         n_seen_shards=4,
         # 16 measured better than 32 at both cpu levels: finalize is NOT

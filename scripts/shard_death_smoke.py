@@ -87,7 +87,6 @@ def main() -> None:
     ckpt_dir = os.path.join(OUT, "checkpoints")
     committed = sorted(f for f in os.listdir(ckpt_dir)) if \
         os.path.isdir(ckpt_dir) else []
-    time.sleep(3)  # let abandoned background writers drain before resume
 
     # snapshot the committed crawl-log files: resume must PRESERVE them
     # (append-only — committed waves are never re-crawled or rewritten)

@@ -43,12 +43,10 @@ def test_shuffle_routes_by_output_partition(ray_session, tmp_path):
     """Each parts dir holds exactly the ids its staged partition needs —
     including a SHARED image needed by two partitions (one copy each) —
     and ids absent from the corpus are simply not routed."""
-    bucket_dir = str(tmp_path / "buckets")
-    os.makedirs(bucket_dir)
-    imgs = _images_table(["a", "b", "c", "shared"])
-    # two buckets, split by hand (the shuffle only globs bucket-*.parquet)
-    pq.write_table(imgs.slice(0, 2), os.path.join(bucket_dir, "bucket-00000.parquet"))
-    pq.write_table(imgs.slice(2, 2), os.path.join(bucket_dir, "bucket-00001.parquet"))
+    images = str(tmp_path / "images.parquet")
+    # two row groups -> two range tasks, each routing its own ids
+    pq.write_table(_images_table(["a", "b", "c", "shared"]), images,
+                   row_group_size=2)
 
     out_root = str(tmp_path / "images_out")
     staging = os.path.join(out_root, "staging")
@@ -56,7 +54,7 @@ def test_shuffle_routes_by_output_partition(ray_session, tmp_path):
     _stage_ids(staging, 3, ["b", "c", "shared"])
 
     kind, parts_dir = shuffle_image_bytes_to_parts(
-        out_root, bucket_dir, str(tmp_path / "out"))
+        out_root, images, str(tmp_path / "out"))
     assert kind == "parts"
 
     def part_rows(p):
@@ -82,13 +80,11 @@ def test_shuffle_routes_by_output_partition(ray_session, tmp_path):
 
 def test_shuffle_empty_staging(ray_session, tmp_path):
     """No staged partitions -> an empty parts dir, no tasks launched."""
-    bucket_dir = str(tmp_path / "buckets")
-    os.makedirs(bucket_dir)
-    pq.write_table(_images_table(["x"]),
-                   os.path.join(bucket_dir, "bucket-00000.parquet"))
+    images = str(tmp_path / "images.parquet")
+    pq.write_table(_images_table(["x"]), images, row_group_size=2)
     out_root = str(tmp_path / "images_out")  # no staging dir at all
     kind, parts_dir = shuffle_image_bytes_to_parts(
-        out_root, bucket_dir, str(tmp_path / "out"))
+        out_root, images, str(tmp_path / "out"))
     assert kind == "parts"
     assert os.path.isdir(parts_dir) and os.listdir(parts_dir) == []
 

@@ -186,8 +186,9 @@ def test_shared_main_image_job_on_crawl_output(engine_result, ray_session):
 
 def test_images_parity_bucketed_bytes(oracle_result, corpus, ray_session):
     """VERDICT r1 item 4: with the broadcast limit forced to 0 the images
-    binary column flows through hash(image_id)-bucketed parquet (per-merge
-    bucket loads) instead of one ray.put table — output must be identical."""
+    binary column is co-partitioned straight from images.parquet to the
+    output partitions instead of riding one ray.put table — output must be
+    identical."""
     import shutil
 
     out = OUT + "_bucketed"
@@ -195,9 +196,8 @@ def test_images_parity_bucketed_bytes(oracle_result, corpus, ray_session):
     cfg = CrawlConfig(corpus_dir=corpus, out_dir=out, entity_wave=64,
                       strict_order=True, images_broadcast_limit_bytes=0)
     res = crawl(cfg)
-    assert os.path.isdir(os.path.join(out, "images_buckets"))  # path exercised
     # the finalize co-partition shuffle ran (bytes_shuffle.py): merge tasks
-    # read only their own partition's bytes, never every bucket
+    # read only their own partition's bytes, never the whole corpus
     assert "finalize_bytes_shuffle" in res.metrics["timings"]
     keys = ["wikidata_id", "lang", "display_order"]
     a = norm(res.tables["images_out"].read_all(), keys)
@@ -207,15 +207,16 @@ def test_images_parity_bucketed_bytes(oracle_result, corpus, ray_session):
 
 def test_ownership_semijoin_forced_distributed(corpus, ray_session, monkeypatch):
     """The at-scale ownership path (distributed Min aggregate +
-    hash-bucketed semi-join, WIKICRAWL_OWNER_SMALL_LIMIT=0) must yield the
+    hash-bucketed semi-join, OWNER_SMALL_LIMIT=0) must yield the
     exact same owned-seed stream as the broadcast fast path — same rows,
     same (family_rank, seed_order) order (VERDICT r2 item 3)."""
     import pyarrow as pa
 
+    from wikicrawl.pipelines import crawl as crawl_mod
     from wikicrawl.pipelines.crawl import owned_seed_batches
 
     fast = pa.concat_tables(list(owned_seed_batches(corpus, 512)))
-    monkeypatch.setenv("WIKICRAWL_OWNER_SMALL_LIMIT", "0")
+    monkeypatch.setattr(crawl_mod, "OWNER_SMALL_LIMIT", 0)
     slow = pa.concat_tables(list(owned_seed_batches(corpus, 512)))
     assert fast.num_rows == slow.num_rows
     a = fast.to_pandas().reset_index(drop=True)
@@ -230,9 +231,11 @@ def test_crawl_order_parity_forced_distributed_ownership(
     global fetch sequence must still equal the oracle's crawl order."""
     import shutil
 
+    from wikicrawl.pipelines import crawl as crawl_mod
+
     out2 = OUT + "_distown"
     shutil.rmtree(out2, ignore_errors=True)
-    monkeypatch.setenv("WIKICRAWL_OWNER_SMALL_LIMIT", "0")
+    monkeypatch.setattr(crawl_mod, "OWNER_SMALL_LIMIT", 0)
     crawl(CrawlConfig(corpus_dir=corpus, out_dir=out2, entity_wave=64,
                       strict_order=True))
     log = read_crawl_log(out2).to_pandas()

@@ -158,21 +158,20 @@ def test_compaction_with_crash_sim_resume(ray_session):
 
 
 def test_auto_compaction_triggers_without_knob(ray_session):
-    """staging_compact_files=None now means AUTO (VERDICT r4 #6): a
-    regime whose per-partition staging-file count crosses
-    staging_compact_auto_files must compact during the crawl with NO
-    operator knob, finalize stays merge-only over the folded runs, and
-    the output keeps golden parity. (The threshold is lowered here so a
-    unit-scale crawl reproduces the 480k/fetch_batch=256 file-count
-    pressure; the default 128 is sized to the measured ~2 ms/file
-    finalize budget.)"""
+    """Compaction is on by default (VERDICT r4 #6): a regime whose
+    per-partition staging-file count crosses staging_compact_files must
+    compact during the crawl, finalize stays merge-only over the folded
+    runs, and the output keeps golden parity. (The threshold is lowered
+    here so a unit-scale crawl reproduces the 480k/fetch_batch=256
+    file-count pressure; the default 128 is sized to the measured
+    ~2 ms/file finalize budget.)"""
     corpus = "/tmp/wikicrawl_test_corpus_autocompact"
     out = "/tmp/wikicrawl_test_crawl_autocompact"
     generate(corpus, n_entities=160, seed=3)
     shutil.rmtree(out, ignore_errors=True)
     res = crawl(CrawlConfig(
         corpus_dir=corpus, out_dir=out, entity_wave=16, strict_order=True,
-        staging_compact_auto_files=3))  # note: NO staging_compact_files
+        staging_compact_files=3))
     assert res.metrics.get("staging_compacted_files", 0) > 0
     want = run_oracle(corpus)
     a = norm(res.tables["pages"].read_all(), ["wikidata_id", "lang"])
@@ -189,15 +188,14 @@ def test_auto_compaction_triggers_without_knob(ray_session):
 
 
 def test_compaction_disabled_with_zero(ray_session):
-    """staging_compact_files=0 disables compaction entirely (the escape
-    hatch now that None means auto)."""
+    """staging_compact_files=0 disables compaction entirely."""
     corpus = "/tmp/wikicrawl_test_corpus_nocompact"
     out = "/tmp/wikicrawl_test_crawl_nocompact"
     generate(corpus, n_entities=80, seed=4)
     shutil.rmtree(out, ignore_errors=True)
     res = crawl(CrawlConfig(
         corpus_dir=corpus, out_dir=out, entity_wave=16, strict_order=True,
-        staging_compact_files=0, staging_compact_auto_files=2))
+        staging_compact_files=0))
     assert res.metrics.get("staging_compacted_files", 0) == 0
     shutil.rmtree(out, ignore_errors=True)
     shutil.rmtree(corpus, ignore_errors=True)

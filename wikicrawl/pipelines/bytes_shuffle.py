@@ -1,37 +1,36 @@
 """Finalize-phase co-partition shuffle of the images binary corpus.
 
-The at-scale (bucketed) attach previously had EVERY images_out merge task
-read ALL hash(image_id) buckets: a partition's image ids spread uniformly
-over the buckets, so aggregate decompress was n_partitions x corpus.
-Measured at 960k entities / 16 partitions / 64 buckets: ~192 GB of
-aggregate bucket decompress, finalize_merges 64 s at 16 cpus vs 42 s at
-4 cpus — ANTI-scaling, because 16 concurrent full-corpus reads contend on
-memory bandwidth while the work itself is pure duplication. (480k never
-hit this: its images table fit images_broadcast_limit_bytes and rode the
-zero-copy plasma broadcast.)
-
-This pass moves the bytes to the OUTPUT partitioning once, then each merge
-task reads only its own partition's bytes:
+Above ``CrawlConfig.images_broadcast_limit_bytes`` the images table can
+never be one ``ray.put`` broadcast, and having EVERY images_out merge task
+read the whole corpus costs n_partitions x corpus of aggregate decompress
+(measured at 960k entities / 16 partitions: finalize_merges 64 s at 16
+cpus vs 42 s at 4 cpus — ANTI-scaling, 16 concurrent full-corpus reads
+contending on memory bandwidth for pure duplication). This pass moves the
+bytes to the OUTPUT partitioning once, straight from ``images.parquet``,
+then each merge task reads only its own partition's bytes:
 
 1. one column-pruned scan per staged images_out partition dir — the unique
    ``image_id`` values partition p needs (reads ONLY that column of the
    staging/compact files; runs after the compaction drain, so the dir is
    stable);
 2. one small broadcast: an (image_id, part) pairs table, ``ray.put`` once
-   and zero-copy in every bucket task. Shared images (one id referenced by
+   and zero-copy in every range task. Shared images (one id referenced by
    entities in several partitions) appear once per needing partition;
-3. one Ray task per bucket file: read THAT bucket once, inner-probe the
-   pairs against the bucket's ids, write one parts file per touched output
-   partition (atomic tmp -> replace);
+3. one Ray task per contiguous row-group range of ``images.parquet``
+   (:func:`row_group_ranges`, the same split the pages broadcast uses):
+   read THAT range once (attach columns only), inner-probe the pairs
+   against its ids, write one parts file per touched output partition
+   (atomic tmp -> replace);
 4. merge task p attaches from ``parts/p=<p>/`` alone.
 
-Aggregate: the corpus is decompressed exactly twice (bucket pass + merge
-read) instead of n_partitions times, and the only all-to-all volume is one
-compressed copy of the bytes — the standard "shuffle the big side to the
-consumer partitioning" move. On a real cluster the pairs broadcast is the
-scale limit (~#gallery-rows x ~20 B); past ~10^9 rows, hash-partition the
-pairs by bucket instead of broadcasting (documented, not needed at this
-corpus: 960k entities -> ~4M pairs ~ 100 MB).
+Aggregate: the corpus is decompressed exactly twice (range pass + merge
+read) instead of n_partitions times, the driver never reads the bytes, and
+the only all-to-all volume is one compressed copy of them — the standard
+"shuffle the big side to the consumer partitioning" move. On a real
+cluster the pairs broadcast is the scale limit (~#gallery-rows x ~20 B);
+past ~10^9 rows, hash-partition the pairs instead of broadcasting
+(documented, not needed at this corpus: 960k entities -> ~4M pairs ~
+100 MB).
 
 Reference parity note: the reference attaches bytes row-at-a-time from its
 MySQL media store (vaugouin/wikipedia-crawler wikipediacrawler.py's image
@@ -50,7 +49,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 
-#: schema of the images source table (bucket files carry exactly this)
+#: the images source table columns the attach reads
 IMAGES_SRC_FIELDS = [
     ("image_id", pa.string()),
     ("bytes", pa.binary()),
@@ -63,6 +62,14 @@ IMAGES_SRC_FIELDS = [
 
 def empty_images_table() -> pa.Table:
     return pa.table({n: pa.array([], t) for n, t in IMAGES_SRC_FIELDS})
+
+
+def row_group_ranges(path: str, max_ranges: int = 8) -> list[list[int]]:
+    """Split a parquet file's row groups into at most ``max_ranges``
+    contiguous, non-empty ranges in file order (one read task each)."""
+    ng = pq.ParquetFile(path).metadata.num_row_groups
+    k = min(ng, max_ranges)
+    return [list(range(i * ng // k, (i + 1) * ng // k)) for i in range(k)]
 
 
 @ray.remote
@@ -86,8 +93,10 @@ def _partition_image_ids(pdir: str) -> pa.Array:
 
 
 @ray.remote
-def _split_bucket(bucket_path: str, pairs_ref_t, parts_dir: str) -> int:
-    """Route one bucket's rows to their output-partition parts files.
+def _split_row_groups(images_path: str, groups: list, pairs_ref_t,
+                      parts_dir: str) -> int:
+    """Route one row-group range's images to their output-partition parts
+    files.
 
     ``pairs_ref_t``: ``(ObjectRef,)`` of the (image_id, part) pairs table —
     nested so Ray does not auto-deref it into every task's argument list;
@@ -95,12 +104,13 @@ def _split_bucket(bucket_path: str, pairs_ref_t, parts_dir: str) -> int:
     pairs: pa.Table = ray.get(pairs_ref_t[0])
     # prune to the attach columns (the source table may carry extras, e.g.
     # caption — never read by _attach_from, so never decompress or ship it)
-    want = ["image_id"] + [n for n, _ in IMAGES_SRC_FIELDS if n != "image_id"]
-    have = set(pq.read_schema(bucket_path).names)
-    tbl = pq.read_table(bucket_path, columns=[c for c in want if c in have])
-    if tbl.num_rows == 0 or pairs.num_rows == 0:
+    f = pq.ParquetFile(images_path)
+    have = set(f.schema_arrow.names)
+    tbl = f.read_row_groups(
+        groups, columns=[n for n, _ in IMAGES_SRC_FIELDS if n in have])
+    if tbl.num_rows == 0:
         return 0
-    # probe direction: bucket ids are unique (images table key), pairs are
+    # probe direction: image ids are unique (images table key), pairs are
     # the big side — index the small side, probe the big one, C-speed both
     idx = pd.Index(tbl["image_id"].to_pandas())
     take = idx.get_indexer(pairs["image_id"].to_pandas())
@@ -109,7 +119,7 @@ def _split_bucket(bucket_path: str, pairs_ref_t, parts_dir: str) -> int:
         return 0
     take = take[mask]
     part_of = pairs["part"].to_numpy(zero_copy_only=False)[mask]
-    base = os.path.splitext(os.path.basename(bucket_path))[0]
+    base = f"rg-{groups[0]:06d}"
     written = 0
     for p in np.unique(part_of):
         sel = part_of == p
@@ -123,12 +133,13 @@ def _split_bucket(bucket_path: str, pairs_ref_t, parts_dir: str) -> int:
     return written
 
 
-def shuffle_image_bytes_to_parts(images_out_path: str, bucket_dir: str,
+def shuffle_image_bytes_to_parts(images_out_path: str, images_path: str,
                                  out_dir: str) -> tuple:
-    """Run the co-partition pass; returns the merge-side ``images_arg``
-    ``("parts", parts_dir)``. Idempotent per run: a stale parts dir (crashed
-    previous finalize) is cleared first — the shuffle re-derives everything
-    from staging + buckets, so replay is value-safe."""
+    """Run the co-partition pass over ``images_path`` (the corpus
+    ``images.parquet``); returns the merge-side ``images_arg``
+    ``("parts", parts_dir)``. Idempotent per run: a stale parts dir
+    (crashed previous finalize) is cleared first — the shuffle re-derives
+    everything from staging + the corpus, so replay is value-safe."""
     import shutil
 
     staging = os.path.join(images_out_path, "staging")
@@ -159,12 +170,11 @@ def shuffle_image_bytes_to_parts(images_out_path: str, bucket_dir: str,
         "part": pa.array(np.concatenate(part_cols), pa.int32()),
     }).combine_chunks()
     pairs_ref = ray.put(pairs)
-    bucket_files = sorted(
-        os.path.join(bucket_dir, f) for f in os.listdir(bucket_dir)
-        if f.startswith("bucket-") and f.endswith(".parquet")
-    )
+    # up to 64 range tasks (the former bucket count): each reads at most
+    # ~1/64 of a multi-GiB corpus, and a wide cluster still gets a task
+    # per core
     ray.get([
-        _split_bucket.remote(bf, (pairs_ref,), parts_dir)
-        for bf in bucket_files
+        _split_row_groups.remote(images_path, groups, (pairs_ref,), parts_dir)
+        for groups in row_group_ranges(images_path, max_ranges=64)
     ])
     return ("parts", parts_dir)

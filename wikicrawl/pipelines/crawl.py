@@ -19,7 +19,8 @@ Ray-Data-first (SURVEY §3.4), LSM-shaped writes:
         ─▶ checkpoint manifest commits FIFO after the wave's job
     ─▶ finalize: merges only — one Ray task per staged (table, partition);
        image BYTES attach at this single write (broadcast ref below the
-       size limit, hash-bucketed parquet above it).
+       size limit; above it, co-partitioned straight from images.parquet
+       to the output partitions by pipelines/bytes_shuffle.py).
 
 Scale notes: per-wave cost is O(wave), compaction is O(total) once; the
 entity stream never materializes as a driver list; bytes move from their
@@ -36,6 +37,7 @@ enforced by the frontier heaps.
 from __future__ import annotations
 
 import os
+import shutil
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,14 +49,14 @@ import ray.data as rd
 
 from wikicrawl import schema as S
 from wikicrawl.checkpoint import CheckpointLog
+from wikicrawl.pipelines.bytes_shuffle import (
+    empty_images_table,
+    row_group_ranges,
+    shuffle_image_bytes_to_parts,
+)
 from wikicrawl.stages.crawl_stages import (
     AttachBytes,
-    FetchExtract,
     _attach_from,
-    Resolver,
-    make_fetch_fn,
-    make_resolver_fn,
-    prepare_bucketed_images,
     payload_to_entity_images,
     payload_to_image_refs,
     payload_to_movie_format,
@@ -96,8 +98,9 @@ class CrawlConfig:
     seen_resident_keys: int = 1 << 22  # per-shard RAM budget for the exact
     # seen store; overflow spills to sorted uint64 runs probed via memmap
     images_broadcast_limit_bytes: int = 1 << 30  # images table above this
-    # is hash(image_id)-bucketed parquet (per-task bucket loads) instead of
-    # one ray.put broadcast — the binary corpus can never be one object
+    # is co-partitioned to the output partitions at finalize, read straight
+    # from images.parquet (pipelines/bytes_shuffle.py), instead of one
+    # ray.put broadcast — the binary corpus can never be one object
     hot_hosts: dict | None = None  # {host: n_split} skew-aware sub-queues
     # (north_rule hot-host clause; per-host budget preserved, split across
     # sub-queues; strict per-host order holds per sub-queue)
@@ -107,7 +110,7 @@ class CrawlConfig:
     max_link_depth: int | None = None  # BFS depth budget for discovery:
     # seeds are depth 0; links inherit parent depth + 1 and are dropped
     # beyond this depth at admission (None = unbounded)
-    staging_compact_files: int | None = None  # LSM-style tiered staging
+    staging_compact_files: int = 128  # LSM-style tiered staging
     # compaction DURING the crawl: when a partition's staging dir holds
     # >= this many un-compacted files, a background Ray task folds them
     # into one `compact-*` run (each row rewritten at most once — runs
@@ -116,17 +119,12 @@ class CrawlConfig:
     # finalize the scaling ceiling). Crash/replay-safe BY CONSTRUCTION:
     # any interleaving leaves either the run, the originals, or both —
     # duplicate rows carry identical (key, _seq) and collapse in
-    # merge_partition's stable crawl-order dedup. None = AUTO (the
-    # default): compaction arms itself per partition dir at
-    # `staging_compact_auto_files`, so unbounded wave counts are handled
-    # without an operator knob (VERDICT r4 #6). Set 0 to disable.
-    staging_compact_auto_files: int = 128  # auto-mode arming threshold:
-    # a partition dir crossing this many un-compacted files gets folded.
-    # 128 files x the measured ~2 ms/file open cost keeps each finalize
-    # merge's small-file bill under ~0.3 s/partition while staying above
-    # the per-dir file count of the tuned 120k bench regime (~117 =
-    # entities/fetch_batch tasks), which therefore never pays a rewrite;
-    # the 480k/fetch_batch=256 regime (~1900 files/dir untreated) arms it.
+    # merge_partition's stable crawl-order dedup. 0 disables. The default
+    # 128 x ~2 ms/file keeps each finalize merge's small-file bill under
+    # ~0.3 s/partition while staying above the per-dir file count of the
+    # tuned 120k bench regime (~117 = entities/fetch_batch tasks), which
+    # therefore never pays a rewrite; the 480k/fetch_batch=256 regime
+    # (~1900 files/dir untreated) arms it.
     durable_payload: bool = True  # False = ephemeral mode: the nested
     # payload delta is NOT persisted (staging, crawl log, seen segments and
     # manifests still are — the five OUTPUT tables are identical). Halves
@@ -214,11 +212,7 @@ def _fetch_slice_task(slice_tbl: pa.Table, sitelinks_ref_t, pages_ref_t,
     cnt = collections.Counter(
         zip(ok["family"].to_pylist(), ok["lang"].to_pylist())
     )
-    for name, fn in _DERIVE.items():
-        derived = fn(payload)
-        if derived.num_rows:
-            staging, key, nparts = stage_specs[name]
-            _write_staging_files(derived, staging, key, nparts)
+    _stage_payload(payload, stage_specs)
     if delta_part is not None:
         pq.write_table(payload, delta_part + ".tmp")
         os.replace(delta_part + ".tmp", delta_part)
@@ -260,15 +254,11 @@ def _resolved_stream(slices, sitelinks_ref, robots, window: int = 512):
         yield tbl
 
 
-OWNER_SMALL_LIMIT_ENV = "WIKICRAWL_OWNER_SMALL_LIMIT"
-
-
-def _owner_small_limit() -> int:
-    """Seed-row count below which the ownership aggregate runs driver-side
-    and ships as one broadcast key set; above it everything is a
-    distributed aggregate + hash-bucketed semi-join. Env-overridable so
-    tests can force the at-scale path (VERDICT r2 item 3)."""
-    return int(os.environ.get(OWNER_SMALL_LIMIT_ENV, 5_000_000))
+# Seed-row count up to which the ownership aggregate runs driver-side as
+# one vectorized Arrow group_by + ``pc.is_in`` (owned_seed_batches); above
+# it everything is a distributed aggregate + hash-bucketed semi-join
+# (owned_seed_stream). Tests patch it to 0 to force the at-scale path.
+OWNER_SMALL_LIMIT = 5_000_000
 
 
 def _owner_key(qids, ranks):
@@ -286,13 +276,14 @@ def owned_seed_stream(corpus_dir: str):
     (wikipedia_crawler.py:71-79): keep a seed row iff its family_rank is
     the MIN rank of its qid — instead of 19 chained NOT-IN subqueries, and
     instead of a per-qid map_groups (tiny pandas groups are death by
-    overhead). Below ``_owner_small_limit`` the (qid, min_rank) pairs ship
-    once as a broadcast composite-key set and the filter is a vectorized
-    ``pc.is_in`` per batch; above it the aggregate stays a distributed
-    groupby (partial combiners) and the filter is a hash-bucketed
-    semi-join (one shuffle per side) — no driver dict on either path.
+    overhead). The aggregate stays a distributed groupby (partial
+    combiners) and the filter is a hash-bucketed semi-join: the owner side
+    never materializes anywhere and both sides shuffle once on
+    hash(composite key) — no driver dict.
     """
     from ray.data.aggregate import Min
+
+    from wikicrawl.functions.joins import hash_join
 
     seeds_path = os.path.join(corpus_dir, "seeds.parquet")
     ds = rd.read_parquet(seeds_path)
@@ -300,35 +291,6 @@ def owned_seed_stream(corpus_dir: str):
         lambda t: t.filter(pc.match_substring_regex(t["wikidata_id"], QID_PATTERN)),
         batch_format="pyarrow",
     )
-    n_seed_rows = pq.ParquetFile(seeds_path).metadata.num_rows
-    if n_seed_rows <= _owner_small_limit():
-        # small-side fast path: one vectorized Arrow group_by beats two Ray
-        # job launches for the ownership aggregate (driver holds only
-        # (qid, min_rank) pairs, never the full rows)
-        t = pq.read_table(seeds_path, columns=["wikidata_id", "family_rank"])
-        t = t.filter(pc.match_substring_regex(t["wikidata_id"], QID_PATTERN))
-        owner_tbl = t.group_by("wikidata_id").aggregate([("family_rank", "min")])
-        keys_ref = ray.put(_owner_key(
-            owner_tbl["wikidata_id"], owner_tbl["family_rank_min"]
-        ))
-
-        from wikicrawl.functions._cache import broadcast_cached
-
-        def keep_owned(t: pa.Table) -> pa.Table:
-            ks = broadcast_cached(keys_ref)  # zero-copy once per worker
-            mask = pc.is_in(
-                _owner_key(t["wikidata_id"], t["family_rank"]), value_set=ks
-            )
-            return t.filter(mask)
-
-        ds = ds.map_batches(keep_owned, batch_format="pyarrow")
-        return ds.sort(["family_rank", "seed_order"])
-
-    # at-scale path: distributed aggregate + hash-bucketed semi-join —
-    # the owner side never materializes anywhere; both sides shuffle once
-    # on hash(composite key)
-    from wikicrawl.functions.joins import hash_join
-
     owner = ds.groupby("wikidata_id").aggregate(
         Min("family_rank", alias_name="family_rank_min")
     )
@@ -356,12 +318,12 @@ def owned_seed_stream(corpus_dir: str):
 def owned_seed_batches(corpus_dir: str, wave_size: int):
     """Yield sorted owned-seed batches.
 
-    Small corpora take a driver-side vectorized Arrow path (filter +
-    ownership semi-join via ``pc.is_in`` + sort_by on five narrow columns —
-    cheaper than two Ray job launches); larger ones stream through the
-    distributed ``owned_seed_stream`` sort."""
+    Up to ``OWNER_SMALL_LIMIT`` seed rows take a driver-side vectorized
+    Arrow path (filter + ownership semi-join via ``pc.is_in`` + sort_by on
+    five narrow columns — cheaper than two Ray job launches); larger
+    corpora stream through the distributed ``owned_seed_stream`` sort."""
     seeds_path = os.path.join(corpus_dir, "seeds.parquet")
-    if pq.ParquetFile(seeds_path).metadata.num_rows <= _owner_small_limit():
+    if pq.ParquetFile(seeds_path).metadata.num_rows <= OWNER_SMALL_LIMIT:
         t = pq.read_table(seeds_path)
         t = t.filter(pc.match_substring_regex(t["wikidata_id"], QID_PATTERN))
         owner = t.group_by("wikidata_id").aggregate([("family_rank", "min")])
@@ -453,12 +415,10 @@ def _merge_partition_task(name: str, path: str, base_schema: pa.Schema,
 
     ``images_arg``: ``("ref", ObjectRef)`` (nested so Ray does NOT
     auto-deref the broadcast table into every task argument) or
-    ``("buckets", dir, n)`` — the images binary payload is attached HERE,
-    at the final write: staging files carry only the (small) refs, so
-    bytes move from their source to disk exactly once."""
-    import time as _t
-
-    t0 = _t.time()
+    ``("parts", dir)`` (bytes co-partitioned by pipelines/bytes_shuffle.py)
+    — the images binary payload is attached HERE, at the final write:
+    staging files carry only the (small) refs, so bytes move from their
+    source to disk exactly once."""
     pdir = os.path.join(path, "staging", f"p={p:05d}")
     # a staging compactor (_compact_staging_dir) may fold originals into a
     # compact-* run between this task's listdir and its reads; the fold is
@@ -482,14 +442,11 @@ def _merge_partition_task(name: str, path: str, base_schema: pa.Schema,
     # staging file) degrades to per-element chunk search — one compaction
     # copy here makes every downstream kernel O(1) per element
     chunk = pa.concat_tables(parts).combine_chunks()
-    t1 = _t.time()
     if images_arg is not None:
         if images_arg[0] == "parts":
             # finalize-phase co-partitioned bytes (bytes_shuffle.py): this
             # partition's bytes and nothing else — one read, no cache needed
             import pandas as _pd
-
-            from wikicrawl.pipelines.bytes_shuffle import empty_images_table
 
             bdir = os.path.join(images_arg[1], f"p={p:05d}")
             bfiles = sorted(
@@ -506,16 +463,9 @@ def _merge_partition_task(name: str, path: str, base_schema: pa.Schema,
         else:
             chunk = _cached_attach(images_arg)(chunk).drop_columns(
                 ["bytes_found"])
-    t2 = _t.time()
     t = KeyedTable(path, base_schema, key=key, n_partitions=nparts,
                    prune_group=prune, order_col=order_col)
-    res = t.merge_partition(p, chunk, clock)
-    t3 = _t.time()
-    if os.environ.get("WIKICRAWL_MERGE_TIMING"):
-        res = dict(res, _timing=(name, p, len(files), chunk.num_rows,
-                                 round(t1 - t0, 2), round(t2 - t1, 2),
-                                 round(t3 - t2, 2)))
-    return name, res
+    return name, t.merge_partition(p, chunk, clock)
 
 
 # worker-process-global AttachBytes cache (same amortization pattern as
@@ -548,41 +498,38 @@ _DERIVE = {
 }
 
 
-def _clear_staging(tables: dict[str, KeyedTable]) -> None:
-    import shutil as _shutil
+def _stage_payload(payload: pa.Table, specs: dict) -> None:
+    """Derive ALL five output tables from one payload batch and append
+    their partition staging files (one payload read total). ``specs``:
+    table name -> (staging dir, key columns, n_partitions)."""
+    for name, fn in _DERIVE.items():
+        derived = fn(payload)
+        if derived.num_rows:
+            _write_staging_files(derived, *specs[name])
 
-    for tbl in tables.values():
-        staging = os.path.join(tbl.path, "staging")
-        _shutil.rmtree(staging, ignore_errors=True)
-        os.makedirs(staging, exist_ok=True)
+
+@ray.remote
+def _restage_delta(path: str, specs: dict) -> None:
+    """Stage one durable payload delta part (finalize of a resumed run)."""
+    _stage_payload(pq.read_table(path), specs)
 
 
-def _make_stage_fn(tables: dict[str, KeyedTable]):
-    """One map_batches fn deriving ALL five output tables from a payload
-    batch and appending their partition staging files (one payload read
-    total — round-1 launched five jobs, each re-reading every delta)."""
-    specs = {
-        name: (os.path.join(tbl.path, "staging"), tbl.key, tbl.n_partitions)
-        for name, tbl in tables.items()
-    }
+# run-scoped state: deltas, logs, manifests and journals belong to one run
+# (the keyed tables persist and are upserted)
+_RUN_DIRS = ("payload", "checkpoints", "crawl_log", "seen_segments", "retry",
+             "admissions")
 
-    def stage_batch(t: pa.Table) -> pa.Table:
-        for name, fn in _DERIVE.items():
-            derived = fn(t)
-            if derived.num_rows == 0:
-                continue
-            staging, key, nparts = specs[name]
-            _write_staging_files(derived, staging, key, nparts)
-        return pa.table({"n": pa.array([t.num_rows], type=pa.int64())})
 
-    return stage_batch
+def _reset_dirs(paths) -> None:
+    """Empty each directory, creating it if absent."""
+    for d in paths:
+        shutil.rmtree(d, ignore_errors=True)
+        os.makedirs(d, exist_ok=True)
 
 
 def _merge_staged(tables: dict[str, KeyedTable], images_arg, clock: int) -> dict:
     """One Ray merge task per staged (table, partition) — touched partitions
     are discovered from the staging directories. No all-to-all exchange."""
-    import shutil as _shutil
-
     refs = []
     for name, tbl in tables.items():
         staging = os.path.join(tbl.path, "staging")
@@ -603,13 +550,10 @@ def _merge_staged(tables: dict[str, KeyedTable], images_arg, clock: int) -> dict
         name: {"inserted": 0, "updated": 0, "deleted": 0} for name in tables
     }
     for name, c in ray.get(refs):
-        tim = c.pop("_timing", None)
-        if tim is not None:
-            print("MERGE_TIMING", tim, flush=True)
         for k in c:
             counters[name][k] += c[k]
     for tbl in tables.values():
-        _shutil.rmtree(os.path.join(tbl.path, "staging"), ignore_errors=True)
+        shutil.rmtree(os.path.join(tbl.path, "staging"), ignore_errors=True)
     return counters
 
 
@@ -641,39 +585,40 @@ def open_tables(out_dir: str, n_partitions: int) -> dict[str, KeyedTable]:
 
 
 def crawl(cfg: CrawlConfig) -> CrawlResult:
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    import copy as _copy
+    import glob as _glob
     import json
+    import threading
+    import time as _time
+    from concurrent.futures import ThreadPoolExecutor
 
-    if not cfg.resume:
-        # fresh run: clear run-scoped state (keyed tables persist and are
-        # upserted; deltas/logs/checkpoints belong to one run)
-        import shutil as _shutil
-
-        for sub in ("payload", "checkpoints", "crawl_log", "seen_segments",
-                    "retry", "admissions"):
-            _shutil.rmtree(os.path.join(cfg.out_dir, sub), ignore_errors=True)
-
-    with open(os.path.join(cfg.corpus_dir, "meta.json")) as f:
-        robots = json.load(f)["robots_disallow"]
-
-    tables = open_tables(cfg.out_dir, cfg.n_table_partitions)
-    # staging and seen-set spill runs are run-scoped derived state: clear
-    # both on every start (a crashed run's files must not leak in)
-    _clear_staging(tables)
-    stage_fn = _make_stage_fn(tables)
     if not cfg.durable_payload and (cfg.discover_links or cfg.resume):
         raise ValueError(
             "durable_payload=False (ephemeral mode) is incompatible with "
             "discover_links/resume: both replay from the payload delta"
         )
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    ckpt = CheckpointLog(cfg.out_dir)
+    m = ckpt.latest() if cfg.resume else None
+    if m is None:
+        # a fresh run, or a resume that crashed before its first commit:
+        # nothing is durable, so stale deltas / log segments from a dead
+        # attempt must not leak into this one
+        _reset_dirs(os.path.join(cfg.out_dir, sub) for sub in _RUN_DIRS)
+
+    with open(os.path.join(cfg.corpus_dir, "meta.json")) as f:
+        robots = json.load(f)["robots_disallow"]
+
+    tables = open_tables(cfg.out_dir, cfg.n_table_partitions)
     stage_specs = {
         name: (os.path.join(tbl.path, "staging"), tbl.key, tbl.n_partitions)
         for name, tbl in tables.items()
     }
-    import shutil as _shutil0
-
+    # staging and seen-set spill runs are run-scoped derived state: clear
+    # both on every start (a crashed run's files must not leak in)
+    _reset_dirs(staging for staging, _, _ in stage_specs.values())
     seen_spill = os.path.join(cfg.out_dir, "seen_spill")
-    _shutil0.rmtree(seen_spill, ignore_errors=True)
+    shutil.rmtree(seen_spill, ignore_errors=True)
     seen = ShardedSeenSet(cfg.n_seen_shards, spill_dir=seen_spill,
                           max_resident_keys=cfg.seen_resident_keys)
     frontier = ShardedFrontier(
@@ -687,14 +632,11 @@ def crawl(cfg: CrawlConfig) -> CrawlResult:
         s.backlog.remote() for s in frontier.shards
     ]
     del _actor_warmup
-    ckpt = CheckpointLog(cfg.out_dir)
     log_dir = os.path.join(cfg.out_dir, "crawl_log")
     retry_dir = os.path.join(cfg.out_dir, "retry")
     seen_dir = os.path.join(cfg.out_dir, "seen_segments")
-    os.makedirs(log_dir, exist_ok=True)
-    os.makedirs(retry_dir, exist_ok=True)
-
-    import time as _time
+    payload_dir = os.path.join(cfg.out_dir, "payload")
+    adm_dir = os.path.join(cfg.out_dir, "admissions")
 
     seq = 0
     wave = 0
@@ -704,153 +646,122 @@ def crawl(cfg: CrawlConfig) -> CrawlResult:
         "url_dups": 0, "entities": 0,
     }
     timings: dict[str, float] = {}
-    # WIKICRAWL_TIMELINE=1: record (name, start, end) spans (relative to
-    # crawl start) for the driver laps and every background job — lets a
-    # bench run compute the true serial fraction (wall not covered by any
-    # in-flight fetch job) instead of guessing from lap sums
-    _tl_on = os.environ.get("WIKICRAWL_TIMELINE") == "1"
+    # (name, start, end) spans relative to crawl start for the driver laps
+    # and every background job — the wall not covered by any in-flight
+    # fetch job is the true serial fraction, which lap sums cannot show
     timeline: list[tuple[str, float, float]] = []
     _t_zero = _time.time()
-
-    def _span(name: str, t0: float, t1: float) -> None:
-        if _tl_on:
-            timeline.append((name, round(t0 - _t_zero, 3), round(t1 - _t_zero, 3)))
 
     def _lap(key: str, t0: float) -> float:
         t1 = _time.time()
         timings[key] = timings.get(key, 0.0) + (t1 - t0)
-        _span(key, t0, t1)
+        timeline.append((key, round(t0 - _t_zero, 3), round(t1 - _t_zero, 3)))
         return t1
-    payload_dir = os.path.join(cfg.out_dir, "payload")
-    os.makedirs(payload_dir, exist_ok=True)
-    if cfg.resume:
-        m = ckpt.latest()
-        if m is None:
-            # crashed before the first commit: nothing is durable — clear
-            # the run-scoped state exactly like a fresh run (stale deltas /
-            # log segments from the dead attempt must not leak into this one)
-            import shutil as _shutil
 
-            for sub in ("payload", "crawl_log", "seen_segments", "retry",
-                        "admissions"):
-                _shutil.rmtree(os.path.join(cfg.out_dir, sub), ignore_errors=True)
-                os.makedirs(os.path.join(cfg.out_dir, sub), exist_ok=True)
-        if m:
-            wave = m["wave"] + 1
-            seq = m["seq"]
-            watermark = tuple(m["watermark"])
-            metrics.update(m["metrics"])
-            seen.load_segments(seen_dir, max_wave=m["wave"])
-            # ---- admission-WAL replay (ADVICE r1) -----------------------
-            # Every admitted row was journaled under admissions/ by the
-            # wave that admitted it (seed admissions synchronously on the
-            # driver; link admissions inside the wave's job, which the
-            # FIFO commit gate waits for). Frontier backlog on resume =
-            # journaled admissions of committed waves MINUS the durable
-            # crawl log — re-pushed directly (never re-admitted). Journal
-            # files and log segments from waves that never committed are
-            # dropped first.
-            adm_dir_r = os.path.join(cfg.out_dir, "admissions")
-            if os.path.isdir(adm_dir_r):
-                for name in list(os.listdir(adm_dir_r)):
-                    try:
-                        w = int(name.split("-")[1])
-                    except (IndexError, ValueError):
-                        continue
-                    if w > m["wave"]:
-                        os.remove(os.path.join(adm_dir_r, name))
-            for name in list(os.listdir(log_dir)):
-                if not name.endswith(".parquet"):
-                    continue
-                try:
-                    s0 = int(name.split("-")[1].split(".")[0])
-                except (IndexError, ValueError):
-                    continue
-                if s0 > m["seq"]:  # wave never committed: its emission replays
-                    os.remove(os.path.join(log_dir, name))
-            adm_files = sorted(
-                os.path.join(adm_dir_r, f)
-                for f in os.listdir(adm_dir_r)
-                if f.endswith(".parquet")
-            ) if os.path.isdir(adm_dir_r) else []
-            if adm_files:
-                # STREAMING anti-join (VERDICT r2 item 5): at 10^10
-                # admissions neither the journal nor the crawl log fits
-                # the driver. The log's url_hashes stream into a bounded-
-                # RAM exact probe (the SeenSet's own spill-run machinery:
-                # resident sorted array + sorted on-disk runs, memmap
-                # searchsorted probes); admission files then stream
-                # through it one wave-file at a time. Driver memory is
-                # O(resident budget), never O(log + journal).
-                from wikicrawl.state.seen import SeenSet as _ProbeSet
+    if m is not None:
+        wave = m["wave"] + 1
+        seq = m["seq"]
+        watermark = tuple(m["watermark"])
+        metrics.update(m["metrics"])
+        seen.load_segments(seen_dir, max_wave=m["wave"])
+        # ---- admission-WAL replay (ADVICE r1) -----------------------
+        # Every admitted row was journaled under admissions/ by the
+        # wave that admitted it (seed admissions synchronously on the
+        # driver; link admissions inside the wave's job, which the
+        # FIFO commit gate waits for). Frontier backlog on resume =
+        # journaled admissions of committed waves MINUS the durable
+        # crawl log — re-pushed directly (never re-admitted). Journal
+        # files and log segments from waves that never committed are
+        # dropped first.
+        for name in list(os.listdir(adm_dir)):
+            try:
+                w = int(name.split("-")[1])
+            except (IndexError, ValueError):
+                continue
+            if w > m["wave"]:
+                os.remove(os.path.join(adm_dir, name))
+        for name in list(os.listdir(log_dir)):
+            if not name.endswith(".parquet"):
+                continue
+            try:
+                s0 = int(name.split("-")[1].split(".")[0])
+            except (IndexError, ValueError):
+                continue
+            if s0 > m["seq"]:  # wave never committed: its emission replays
+                os.remove(os.path.join(log_dir, name))
+        adm_files = sorted(
+            os.path.join(adm_dir, f)
+            for f in os.listdir(adm_dir)
+            if f.endswith(".parquet")
+        )
+        if adm_files:
+            # STREAMING anti-join (VERDICT r2 item 5): at 10^10
+            # admissions neither the journal nor the crawl log fits
+            # the driver. The log's url_hashes stream into a bounded-
+            # RAM exact probe (the SeenSet's own spill-run machinery:
+            # resident sorted array + sorted on-disk runs, memmap
+            # searchsorted probes); admission files then stream
+            # through it one wave-file at a time. Driver memory is
+            # O(resident budget), never O(log + journal).
+            from wikicrawl.state.seen import SeenSet as _ProbeSet
 
-                probe_dir = os.path.join(cfg.out_dir, "_resume_probe")
-                probe = _ProbeSet(capacity=1 << 20, spill_dir=probe_dir,
-                                  max_resident_keys=1 << 22)
-                for name in sorted(os.listdir(log_dir)):
-                    if name.endswith(".parquet"):
-                        h = pq.read_table(
-                            os.path.join(log_dir, name), columns=["url_hash"]
-                        )["url_hash"].to_numpy(zero_copy_only=False)
-                        probe.insert_batch(h.astype(np.uint64))
-                for f in adm_files:
-                    adm = pq.read_table(f)
-                    adm_h = adm["url_hash"].to_numpy(
-                        zero_copy_only=False).astype(np.uint64)
-                    # seen segments can lag job-side admissions by one
-                    # flush; the journal is authoritative — make the seen
-                    # set complete
-                    seen.insert_batch(adm_h)
-                    pend = adm.filter(pa.array(~probe.contains_batch(adm_h)))
-                    if pend.num_rows:
-                        frontier.push_table(pend)
-                import shutil as _shutil
+            probe_dir = os.path.join(cfg.out_dir, "_resume_probe")
+            probe = _ProbeSet(capacity=1 << 20, spill_dir=probe_dir,
+                              max_resident_keys=1 << 22)
+            for name in sorted(os.listdir(log_dir)):
+                if name.endswith(".parquet"):
+                    h = pq.read_table(
+                        os.path.join(log_dir, name), columns=["url_hash"]
+                    )["url_hash"].to_numpy(zero_copy_only=False)
+                    probe.insert_batch(h.astype(np.uint64))
+            for f in adm_files:
+                adm = pq.read_table(f)
+                adm_h = adm["url_hash"].to_numpy(
+                    zero_copy_only=False).astype(np.uint64)
+                # seen segments can lag job-side admissions by one
+                # flush; the journal is authoritative — make the seen
+                # set complete
+                seen.insert_batch(adm_h)
+                pend = adm.filter(pa.array(~probe.contains_batch(adm_h)))
+                if pend.num_rows:
+                    frontier.push_table(pend)
+            shutil.rmtree(probe_dir, ignore_errors=True)
+        # staging was cleared above, so every surviving delta must be
+        # re-staged at finalize: drop the per-delta staging markers
+        for name in os.listdir(payload_dir):
+            marker = os.path.join(payload_dir, name, "_staged")
+            if os.path.exists(marker):
+                os.remove(marker)
+        # drop any payload deltas beyond the last committed wave (an
+        # interrupted wave replays into a fresh, consistent delta)
+        for name in os.listdir(payload_dir):
+            try:
+                w = int(name.split("-")[1])
+            except (IndexError, ValueError):
+                continue
+            if w >= wave:
+                shutil.rmtree(os.path.join(payload_dir, name), ignore_errors=True)
 
-                _shutil.rmtree(probe_dir, ignore_errors=True)
-            # staging was cleared above, so every surviving delta must be
-            # re-staged at finalize: drop the per-delta staging markers
-            for name in os.listdir(payload_dir):
-                marker = os.path.join(payload_dir, name, "_staged")
-                if os.path.exists(marker):
-                    os.remove(marker)
-            # drop any payload deltas beyond the last committed wave (an
-            # interrupted wave replays into a fresh, consistent delta)
-            import shutil as _shutil
-
-            for name in os.listdir(payload_dir):
-                try:
-                    w = int(name.split("-")[1])
-                except (IndexError, ValueError):
-                    continue
-                if w >= wave:
-                    _shutil.rmtree(os.path.join(payload_dir, name), ignore_errors=True)
-
-    # broadcast the corpus tables ONCE; every actor gets them zero-copy.
+    # broadcast the corpus tables ONCE; every task gets them zero-copy.
     # The images table (binary payload) broadcasts only below the size
-    # limit; above it the bytes live in hash-bucketed parquet and merge
-    # tasks load just the buckets their keys touch (VERDICT r1 item 4).
+    # limit; above it finalize co-partitions the bytes straight from
+    # images.parquet (pipelines/bytes_shuffle.py, VERDICT r1 item 4).
     _t_setup = _time.time()
     # corpus broadcasts: sitelinks are needed immediately (resolve); the
     # pages HTML and image-bytes tables are only touched by the first
     # fetch job / the finalize merges, so their reads + ray.puts overlap
     # the seed-dedup + resolve warmup in background threads (setup_refs
     # was a ~4 s serial fraction at 120k that did not scale with CPUs)
-    import threading as _threading
-
+    images_path = os.path.join(cfg.corpus_dir, "images.parquet")
     _bc: dict = {}
 
     def _load_images():
-        images_path = os.path.join(cfg.corpus_dir, "images.parquet")
         if os.path.getsize(images_path) <= cfg.images_broadcast_limit_bytes:
             # combine_chunks once: every merge task `take`s from this
             # table, and take on a many-chunked binary column pays a
             # per-element chunk search
             _bc["images"] = ("ref", ray.put(
                 pq.read_table(images_path).combine_chunks()))
-        else:
-            bucket_dir = os.path.join(cfg.out_dir, "images_buckets")
-            prepare_bucketed_images(images_path, bucket_dir, n_buckets=64)
-            _bc["images"] = ("buckets", bucket_dir, 64)
 
     def _load_pages():
         # The pages table is the big broadcast (~1 GiB in memory at 120k
@@ -863,21 +774,17 @@ def crawl(cfg: CrawlConfig) -> CrawlResult:
         # the driver path; combine_chunks first (a multi-chunk 1 GiB
         # table measured 2.9 s to put vs 0.5 s single-chunk).
         path = os.path.join(cfg.corpus_dir, "pages_html.parquet")
-        ng = pq.ParquetFile(path).metadata.num_row_groups
-        if ng > 1:
-            k = min(ng, 8)
-            bounds = [
-                list(range(i * ng // k, (i + 1) * ng // k)) for i in range(k)
-            ]
+        ranges = row_group_ranges(path)
+        if len(ranges) > 1:
             _bc["pages"] = tuple(
-                _read_row_groups.remote(path, b) for b in bounds if b
+                _read_row_groups.remote(path, r) for r in ranges
             )
         else:
             _bc["pages"] = (ray.put(pq.read_table(path).combine_chunks()),)
 
     _bc_threads = [
-        _threading.Thread(target=_load_images, daemon=True),
-        _threading.Thread(target=_load_pages, daemon=True),
+        threading.Thread(target=_load_images, daemon=True),
+        threading.Thread(target=_load_pages, daemon=True),
     ]
     for t in _bc_threads:
         t.start()
@@ -890,8 +797,9 @@ def crawl(cfg: CrawlConfig) -> CrawlResult:
         return _bc["pages"]
 
     def images_arg_get():
+        """The broadcast ``("ref", ...)`` form, or None above the limit."""
         _bc_threads[0].join()
-        return _bc["images"]
+        return _bc.get("images")
 
     _lap("setup_refs", _t_setup)
 
@@ -976,13 +884,9 @@ def crawl(cfg: CrawlConfig) -> CrawlResult:
 
     _lap("seed_stream", _t_setup)
 
-    # background pipelining: up to two wave writes in flight (independent
-    # delta dirs), while checkpoint commits stay FIFO in a single-worker
-    # pool, each gated on its own wave's write future
-    from concurrent.futures import ThreadPoolExecutor as _TPE
-
-    writes_pool = _TPE(max_workers=max(1, cfg.write_workers))
-    commit_pool = _TPE(max_workers=1)
+    # background pipelining: up to `write_workers` wave writes in flight
+    # (independent delta dirs), while checkpoint commits stay FIFO in a
+    # single-worker pool, each gated on its own wave's write futures
     pending: list = []
     wave_write_futs: dict[int, list] = {}
     # in-flight staging compactions (CrawlConfig.staging_compact_files);
@@ -990,14 +894,8 @@ def crawl(cfg: CrawlConfig) -> CrawlResult:
     compact_refs: list = []
     _compacting: dict = {}  # pdir -> in-flight run ref (one per dir, no pile-up)
 
-    # effective threshold: explicit N if set, the auto-arming threshold
-    # when None (0/negative disables entirely)
-    _compact_threshold = (cfg.staging_compact_files
-                          if cfg.staging_compact_files is not None
-                          else cfg.staging_compact_auto_files)
-
     def _compact_tick() -> None:
-        if _compact_threshold <= 0:
+        if cfg.staging_compact_files <= 0:
             return
         for pdir, ref in list(_compacting.items()):
             if ray.wait([ref], timeout=0)[0]:
@@ -1014,12 +912,10 @@ def crawl(cfg: CrawlConfig) -> CrawlResult:
                     f for f in os.listdir(pdir)
                     if f.endswith(".parquet")
                     and not f.startswith("compact-")))
-                if len(small) >= _compact_threshold:
+                if len(small) >= cfg.staging_compact_files:
                     ref = _compact_staging_dir.remote(pdir, small)
                     compact_refs.append(ref)
                     _compacting[pdir] = ref
-    import copy as _copy
-    import threading
 
     metrics_lock = threading.Lock()
     # per-wave metric DELTAS, merged into committed totals strictly FIFO at
@@ -1053,8 +949,6 @@ def crawl(cfg: CrawlConfig) -> CrawlResult:
         return _copy.deepcopy(committed_totals)
 
     from wikicrawl.stages.crawl_stages import RESOLVED_SCHEMA
-
-    RESOLVED_NAMES = [f.name for f in RESOLVED_SCHEMA]
 
     def process_emitted(tbl: pa.Table, wave_clock: int):
         nonlocal seq
@@ -1259,9 +1153,6 @@ def crawl(cfg: CrawlConfig) -> CrawlResult:
     # the frontier backlog as journal(committed waves) - crawl log — no
     # admitted URL can be silently lost (ADVICE r1), with no dependence on
     # racing background pushes.
-    adm_dir = os.path.join(cfg.out_dir, "admissions")
-    os.makedirs(adm_dir, exist_ok=True)
-
     def journal_admissions(tbl: pa.Table, wave_id: int, tag: str) -> None:
         path = os.path.join(adm_dir, f"adm-{wave_id:06d}-{tag}.parquet")
         tmp = path + ".tmp"
@@ -1277,221 +1168,206 @@ def crawl(cfg: CrawlConfig) -> CrawlResult:
     # (scripts/shard_death_smoke.py).
     _kill_shard_wave = os.environ.get("WIKICRAWL_KILL_SEEN_SHARD_WAVE")
 
-    _t_prev = _time.time()
-    for n_entities, res_tbl in resolved_waves():
-        _lap("resolve", _t_prev)
-        if _kill_shard_wave is not None and wave == int(_kill_shard_wave):
-            ray.kill(seen.shards[0], no_restart=True)
-        status = res_tbl["status"]
-        n_transient = int(pc.sum(pc.cast(pc.equal(status, "transient"), pa.int64())).as_py() or 0)
-        add_delta(wave, {
-            "entities": n_entities,
-            "requests": int(pc.sum(res_tbl["requests"]).as_py() or 0),
-            "transient": n_transient,
-            "no_sitelink": int(
-                pc.sum(pc.cast(pc.equal(status, "no_sitelink"), pa.int64())).as_py() or 0
-            ),
-            "robots_skipped": int(
-                pc.sum(pc.cast(pc.equal(status, "robots"), pa.int64())).as_py() or 0
-            ),
-        })
-        if n_transient:
-            tr = res_tbl.filter(pc.equal(status, "transient"))
-            pq.write_table(
-                tr.select(["family", "wikidata_id", "entity_id"]),
-                os.path.join(retry_dir, f"wave-{wave:06d}.parquet"),
-            )
-        # robots was gated inside the resolver stage: a disallowed URL never
-        # reaches the seen set (oracle semantics); the frontier re-checks at
-        # push (defense in depth)
-        ready_tbl = res_tbl.filter(pc.equal(status, "resolved"))
-
-        if ready_tbl.num_rows:
-            _ta = _time.time()
-            hashes = ready_tbl["url_hash"].to_numpy(zero_copy_only=False).astype(np.uint64)
-            new = seen.insert_batch(hashes)
-            add_delta(wave, {"url_dups": int((~new).sum())})
-            admitted_tbl = ready_tbl.filter(pa.array(new))
-            _ta = _lap("drv_seen", _ta)
-            if admitted_tbl.num_rows:
-                journal_admissions(admitted_tbl, wave, "seed")
-                _ta = _lap("drv_journal", _ta)
-                frontier.push_table(admitted_tbl)
-                _lap("drv_fpush", _ta)
-
-        # emission: strict mode drains the frontier before the next wave
-        while True:
-            _tp = _time.time()
-            emitted_tbl = frontier.pop_wave_table(RESOLVED_SCHEMA)
-            _lap("drv_fpop", _tp)
-            if emitted_tbl is not None and emitted_tbl.num_rows:
-                fut = writes_pool.submit(process_emitted(emitted_tbl, wave))
-                pending.append(fut)
-                wave_write_futs.setdefault(wave, []).append(fut)
-            if cfg.strict_order and cfg.discover_links and (
-                emitted_tbl is not None and emitted_tbl.num_rows
-            ):
-                # deterministic BFS: the job pushes discovered links; wait
-                # for it so the next pop sees them (parity schedule)
-                fut.result()
-            if not cfg.strict_order or frontier.backlog() == 0:
-                break
-
-        last = res_tbl.slice(res_tbl.num_rows - 1, 1)
-        watermark = (
-            last["family_rank"][0].as_py(),
-            last["seed_order"][0].as_py(),
-        )
-        # segments flushed synchronously (staged set = exactly this wave's
-        # inserts); the manifest COMMITS in the background worker AFTER the
-        # wave's payload write (FIFO order) — an orphan segment without its
-        # manifest is ignored on resume (load_segments max_wave)
+    def queue_wave_commit(w: int, write_futs: list) -> None:
+        """Flush wave w's seen segments and queue its manifest commit on the
+        FIFO commit worker, gated on the wave's writes and that flush (an
+        orphan segment without its manifest is ignored on resume:
+        load_segments max_wave)."""
         _ts = _time.time()
-        flush_refs = seen.flush_segments_async(seen_dir, wave)
+        flush_refs = seen.flush_segments_async(seen_dir, w)
         _lap("drv_seen_flush", _ts)
         manifest = {
-            "wave": wave,
+            "wave": w,
             "seq": seq,  # this wave's emissions are already numbered
             "watermark": list(watermark),
             "frontier": frontier.snapshots(),
             "seen_size": seen.size(),
         }
-        wfuts = wave_write_futs.pop(wave, [])
 
-        def _commit(w=wave, m=manifest, fs=tuple(wfuts), fl=tuple(flush_refs)):
-            for f in fs:  # manifest only after this wave's writes landed
+        def _commit():
+            for f in write_futs:  # manifest only after this wave's writes landed
                 f.result()
-            ray.get(list(fl))  # ... and after its seen segments are durable
-            m["metrics"] = merge_committed(w)
-            ckpt.commit_wave(w, m)
+            ray.get(flush_refs)  # ... and after its seen segments are durable
+            manifest["metrics"] = merge_committed(w)
+            ckpt.commit_wave(w, manifest)
 
         pending.append(commit_pool.submit(_commit))
-        _compact_tick()
-        wave += 1
-        if cfg.halt_after_waves is not None and wave >= cfg.halt_after_waves:
-            # simulate a crash: committed manifests + journal exist, frontier
-            # backlog and un-finalized deltas are simply abandoned
-            for fut in pending:
-                fut.result()
-            writes_pool.shutdown(wait=True)
-            commit_pool.shutdown(wait=True)
-            # a REAL crash kills driver-owned compaction tasks with the
-            # driver; this simulated one leaves the process (and Ray
-            # session) alive, so drain in-flight compactors here — else a
-            # stale task could os.remove staging originals between a
-            # resumed run's finalize glob and its read (ADVICE r4).
-            # Value-safe either way (the compact run is written before
-            # any removal); this only pins the interleaving.
-            if compact_refs:
-                ray.get(compact_refs)
-            metrics["timings"] = {k: round(v, 2) for k, v in timings.items()}
-            return CrawlResult(cfg.out_dir, tables, metrics)
-        if wave >= cfg.max_waves:
-            break
+
+    writes_pool = ThreadPoolExecutor(max_workers=max(1, cfg.write_workers))
+    commit_pool = ThreadPoolExecutor(max_workers=1)
+    try:
+        halted = False
         _t_prev = _time.time()
+        for n_entities, res_tbl in resolved_waves():
+            _lap("resolve", _t_prev)
+            if _kill_shard_wave is not None and wave == int(_kill_shard_wave):
+                ray.kill(seen.shards[0], no_restart=True)
+            status = res_tbl["status"]
+            n_transient = int(pc.sum(pc.cast(pc.equal(status, "transient"), pa.int64())).as_py() or 0)
+            add_delta(wave, {
+                "entities": n_entities,
+                "requests": int(pc.sum(res_tbl["requests"]).as_py() or 0),
+                "transient": n_transient,
+                "no_sitelink": int(
+                    pc.sum(pc.cast(pc.equal(status, "no_sitelink"), pa.int64())).as_py() or 0
+                ),
+                "robots_skipped": int(
+                    pc.sum(pc.cast(pc.equal(status, "robots"), pa.int64())).as_py() or 0
+                ),
+            })
+            if n_transient:
+                tr = res_tbl.filter(pc.equal(status, "transient"))
+                pq.write_table(
+                    tr.select(["family", "wikidata_id", "entity_id"]),
+                    os.path.join(retry_dir, f"wave-{wave:06d}.parquet"),
+                )
+            # robots was gated inside the resolver stage: a disallowed URL
+            # never reaches the seen set (oracle semantics); the frontier
+            # re-checks at push (defense in depth)
+            ready_tbl = res_tbl.filter(pc.equal(status, "resolved"))
 
-    # drain any remaining frontier backlog (non-strict mode tail); in-flight
-    # jobs may still DISCOVER more links, so an empty backlog only ends the
-    # drain after every pending job has finished and it is still empty
-    while True:
-        if frontier.backlog() == 0:
-            for f in list(pending):
-                f.result()
-            if frontier.backlog() == 0:
-                break
-        emitted_tbl = frontier.pop_wave_table(RESOLVED_SCHEMA)
-        if emitted_tbl is not None and emitted_tbl.num_rows:
-            wfut = writes_pool.submit(process_emitted(emitted_tbl, wave))
-            pending.append(wfut)
-            tail_flush = seen.flush_segments_async(seen_dir, wave)
-            manifest = {
-                "wave": wave, "seq": seq, "watermark": list(watermark),
-                "frontier": frontier.snapshots(),
-                "seen_size": seen.size(),
-            }
+            if ready_tbl.num_rows:
+                _ta = _time.time()
+                hashes = ready_tbl["url_hash"].to_numpy(zero_copy_only=False).astype(np.uint64)
+                new = seen.insert_batch(hashes)
+                add_delta(wave, {"url_dups": int((~new).sum())})
+                admitted_tbl = ready_tbl.filter(pa.array(new))
+                _ta = _lap("drv_seen", _ta)
+                if admitted_tbl.num_rows:
+                    journal_admissions(admitted_tbl, wave, "seed")
+                    _ta = _lap("drv_journal", _ta)
+                    frontier.push_table(admitted_tbl)
+                    _lap("drv_fpush", _ta)
 
-            def _commit_tail(w=wave, m=manifest, f=wfut, fl=tuple(tail_flush)):
-                f.result()
-                ray.get(list(fl))
-                m["metrics"] = merge_committed(w)
-                ckpt.commit_wave(w, m)
+            # emission: strict mode drains the frontier before the next wave
+            while True:
+                _tp = _time.time()
+                emitted_tbl = frontier.pop_wave_table(RESOLVED_SCHEMA)
+                _lap("drv_fpop", _tp)
+                if emitted_tbl is not None and emitted_tbl.num_rows:
+                    fut = writes_pool.submit(process_emitted(emitted_tbl, wave))
+                    pending.append(fut)
+                    wave_write_futs.setdefault(wave, []).append(fut)
+                if cfg.strict_order and cfg.discover_links and (
+                    emitted_tbl is not None and emitted_tbl.num_rows
+                ):
+                    # deterministic BFS: the job pushes discovered links;
+                    # wait for it so the next pop sees them (parity schedule)
+                    fut.result()
+                if not cfg.strict_order or frontier.backlog() == 0:
+                    break
 
-            pending.append(commit_pool.submit(_commit_tail))
-            wave += 1
-
-    # join the background pipeline (propagates any write error)
-    for fut in pending:
-        fut.result()
-    writes_pool.shutdown(wait=True)
-    commit_pool.shutdown(wait=True)
-    # final totals = committed totals (every wave committed above); keep any
-    # leftover tail delta (a tail pop that never formed a wave) merged too
-    for w in sorted(list(wave_deltas)):
-        merge_committed(w)
-    metrics.clear()
-    metrics.update(committed_totals)
-
-    # ---- finalize: compact payload deltas into the five keyed tables ----
-    # DRAIN in-flight compaction runs (a merge must not read a half-written
-    # run) but launch NO new ones here: folding a dir the merge is about to
-    # read pays the same per-file opens PLUS a write and a re-read, strictly
-    # after the crawl — measured as a serial, un-timed stall before the
-    # merge at 960k/16 cpus. Compaction's value is the DURING-crawl ticks.
-    t0 = _time.time()
-    if compact_refs:
-        n_compacted = sum(ray.get(compact_refs))
-        metrics["staging_compacted_files"] = n_compacted
-        timings["staging_compacted"] = float(n_compacted)
-    t0 = _lap("finalize_compact_wait", t0)
-    import glob as _glob
-
-    # deltas were staged by their own write jobs (marker per delta dir);
-    # only unstaged ones (e.g. committed waves of a resumed run, whose
-    # markers are cleared at startup) need the staging pass here
-    unstaged = sorted(
-        f
-        for d in os.listdir(payload_dir)
-        if d.startswith("wave-")
-        and not os.path.exists(os.path.join(payload_dir, d, "_staged"))
-        for f in _glob.glob(os.path.join(payload_dir, d, "*.parquet"))
-    )
-    any_delta = any(d.startswith("wave-") for d in os.listdir(payload_dir))
-    # ephemeral mode leaves no deltas — staged partitions alone drive the merge
-    any_staged = any(
-        os.path.isdir(os.path.join(tbl.path, "staging"))
-        and any(d.startswith("p=")
-                for d in os.listdir(os.path.join(tbl.path, "staging")))
-        for tbl in tables.values()
-    )
-    if unstaged:
-        rd.read_parquet(unstaged).map_batches(
-            stage_fn, batch_format="pyarrow"
-        ).materialize()
-    if any_delta or any_staged:
-        images_arg = images_arg_get()
-        if images_arg[0] == "buckets":
-            # co-partition the binary corpus to the OUTPUT partitioning once
-            # instead of every merge task reading every bucket — the bucketed
-            # attach otherwise costs n_partitions x corpus of aggregate
-            # decompress (pipelines/bytes_shuffle.py: design + measurements)
-            from wikicrawl.pipelines.bytes_shuffle import (
-                shuffle_image_bytes_to_parts,
+            last = res_tbl.slice(res_tbl.num_rows - 1, 1)
+            watermark = (
+                last["family_rank"][0].as_py(),
+                last["seed_order"][0].as_py(),
             )
+            queue_wave_commit(wave, wave_write_futs.pop(wave, []))
+            _compact_tick()
+            wave += 1
+            if cfg.halt_after_waves is not None and wave >= cfg.halt_after_waves:
+                # simulate a crash: committed manifests + journal exist,
+                # frontier backlog and un-finalized deltas are simply
+                # abandoned
+                halted = True
+                break
+            if wave >= cfg.max_waves:
+                break
+            _t_prev = _time.time()
 
-            images_arg = shuffle_image_bytes_to_parts(
-                tables["images_out"].path, images_arg[1], cfg.out_dir)
-            t0 = _lap("finalize_bytes_shuffle", t0)
-        _merge_staged(tables, images_arg, wave)
-        t0 = _lap("finalize_merges", t0)
-        if images_arg[0] == "parts":
-            import shutil as _shutil
+        # drain any remaining frontier backlog (non-strict mode tail);
+        # in-flight jobs may still DISCOVER more links, so an empty backlog
+        # only ends the drain after every pending job has finished and it
+        # is still empty
+        while not halted:
+            if frontier.backlog() == 0:
+                for f in list(pending):
+                    f.result()
+                if frontier.backlog() == 0:
+                    break
+            emitted_tbl = frontier.pop_wave_table(RESOLVED_SCHEMA)
+            if emitted_tbl is not None and emitted_tbl.num_rows:
+                wfut = writes_pool.submit(process_emitted(emitted_tbl, wave))
+                pending.append(wfut)
+                queue_wave_commit(wave, [wfut])
+                wave += 1
 
-            _shutil.rmtree(images_arg[1], ignore_errors=True)
+        # join the background pipeline (propagates any write error)
+        for fut in pending:
+            fut.result()
 
-    metrics["timings"] = {k: round(v, 2) for k, v in timings.items()}
-    if _tl_on:
+        if not halted:
+            # final totals = committed totals (every wave committed above);
+            # keep any leftover tail delta (a tail pop that never formed a
+            # wave) merged too
+            for w in sorted(wave_deltas):
+                merge_committed(w)
+            metrics.clear()
+            metrics.update(committed_totals)
+
+            # ---- finalize: compact payload deltas into the five keyed tables
+            # DRAIN in-flight compaction runs (a merge must not read a
+            # half-written run) but launch NO new ones here: folding a dir
+            # the merge is about to read pays the same per-file opens PLUS a
+            # write and a re-read, strictly after the crawl — measured as a
+            # serial, un-timed stall before the merge at 960k/16 cpus.
+            # Compaction's value is the DURING-crawl ticks.
+            t0 = _time.time()
+            if compact_refs:
+                n_compacted = sum(ray.get(compact_refs))
+                metrics["staging_compacted_files"] = n_compacted
+                timings["staging_compacted"] = float(n_compacted)
+            t0 = _lap("finalize_compact_wait", t0)
+
+            # deltas were staged by their own write jobs (marker per delta
+            # dir); only unstaged ones (committed waves of a resumed run,
+            # whose markers are cleared at startup) need staging here
+            deltas = [d for d in os.listdir(payload_dir) if d.startswith("wave-")]
+            unstaged = sorted(
+                f
+                for d in deltas
+                if not os.path.exists(os.path.join(payload_dir, d, "_staged"))
+                for f in _glob.glob(os.path.join(payload_dir, d, "*.parquet"))
+            )
+            # ephemeral mode leaves no deltas — staged partitions alone
+            # drive the merge
+            any_staged = any(
+                d.startswith("p=")
+                for tbl in tables.values()
+                for d in os.listdir(os.path.join(tbl.path, "staging"))
+            )
+            ray.get([_restage_delta.remote(f, stage_specs) for f in unstaged])
+            if deltas or any_staged:
+                images_arg = images_arg_get()
+                if images_arg is None:
+                    # co-partition the binary corpus to the OUTPUT
+                    # partitioning once instead of every merge task reading
+                    # all of it (pipelines/bytes_shuffle.py: design +
+                    # measurements)
+                    images_arg = shuffle_image_bytes_to_parts(
+                        tables["images_out"].path, images_path, cfg.out_dir)
+                    t0 = _lap("finalize_bytes_shuffle", t0)
+                _merge_staged(tables, images_arg, wave)
+                t0 = _lap("finalize_merges", t0)
+                if images_arg[0] == "parts":
+                    shutil.rmtree(images_arg[1], ignore_errors=True)
+
+        metrics["timings"] = {k: round(v, 2) for k, v in timings.items()}
         metrics["timeline"] = list(timeline)
-    return CrawlResult(cfg.out_dir, tables, metrics)
+        return CrawlResult(cfg.out_dir, tables, metrics)
+    finally:
+        # ONE exit path for a finished run, the simulated crash and any
+        # error: no background job, manifest commit, compactor or corpus
+        # loader may outlive crawl() — a resume started right after a
+        # failure must not race the dead run's writers (queued work that
+        # never started is cancelled; a commit gated on a cancelled write
+        # fails instead of landing)
+        writes_pool.shutdown(wait=True, cancel_futures=True)
+        commit_pool.shutdown(wait=True, cancel_futures=True)
+        if compact_refs:
+            ray.wait(compact_refs, num_returns=len(compact_refs))
+        for t in _bc_threads:
+            t.join()
 
 
 def read_crawl_log(out_dir: str) -> pa.Table:

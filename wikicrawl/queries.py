@@ -1,7 +1,7 @@
 """Operator queries over the driver testdata + their ANSI-SQL oracles.
 
 Every operator class from SURVEY §2 gets a Ray-Data implementation here
-AND a DuckDB oracle with IDENTICAL column names (ALL 33 — sketches and
+AND a DuckDB oracle with IDENTICAL column names (ALL 115 — sketches and
 iterative training included: the shingle hash, simhash token hash, the
 q21 LSH projection planes AND the q23 IVF k-means (hash-seeded,
 grid-quantized Lloyd iterations, unrolled as SQL CTEs) were CHOSEN to be

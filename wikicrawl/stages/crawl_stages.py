@@ -5,8 +5,8 @@ session/limiter pattern, ``wikipedia_http.py:53-122``): the hot stages run
 as STATELESS TASKS over a worker-process-global corpus cache fed by one
 ``ray.put`` broadcast (``make_resolver_fn`` / ``make_fetch_fn``) — same
 amortization as an actor pool, none of the per-wave pool-startup cost, full
-task elasticity. The callable-class forms (:class:`Resolver`,
-:class:`FetchExtract`) remain for actor-pool use (e.g. long-lived services).
+task elasticity. :class:`Resolver` and :class:`FetchExtract` carry the batch
+bodies as static ``run`` methods over a :class:`VirtualWiki`.
 
 - resolver      — sitelink resolution (batched wbgetentities analog),
                   explodes entities to (entity, lang) rows with canonical
@@ -16,11 +16,12 @@ task elasticity. The callable-class forms (:class:`Resolver`,
                   for sections AND captions; chrome/mime filters; lead-image
                   acceptance. Emits nested payload rows (list<struct>).
 - AttachBytes   — joins exploded image rows with the images input table
-                  (broadcast lookup built once per worker); at scale the
-                  bytes are hash-bucketed parquet, co-partitioned to the
-                  output partitioning at finalize (pipelines/
-                  bytes_shuffle.py). Runs inside the final merge write so
-                  bytes move from source to disk exactly once.
+                  (broadcast lookup built once per worker); above the
+                  broadcast limit the bytes are co-partitioned straight
+                  from images.parquet to the output partitioning at
+                  finalize (pipelines/bytes_shuffle.py). Runs inside the
+                  final merge write so bytes move from source to disk
+                  exactly once.
 
 Explode helpers turn nested payload batches into the five output tables —
 fully vectorized (Arrow list_flatten / list_parent_indices / struct_field).
@@ -28,7 +29,6 @@ fully vectorized (Arrow list_flatten / list_parent_indices / struct_field).
 
 from __future__ import annotations
 
-import os
 from datetime import datetime, timezone
 
 import numpy as np
@@ -225,21 +225,6 @@ class Resolver:
     | "transient" (maxlag exhausted -> retry partition).
     """
 
-    def __init__(self, corpus_dir: str | None = None, sitelinks_ref=None):
-        if sitelinks_ref is not None:
-            import ray
-
-            from wikicrawl import schema
-
-            self.wiki = VirtualWiki(
-                ray.get(sitelinks_ref), schema.PAGES_HTML.empty_table(), {}
-            )
-        else:
-            self.wiki = VirtualWiki.load(corpus_dir, with_pages=False)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return Resolver.run(self.wiki, batch)
-
     @staticmethod
     def run(wiki: VirtualWiki, batch: pa.Table) -> pa.Table:
         """VECTORIZED: one merge against the wide sitelink frame, per-lang
@@ -393,18 +378,6 @@ def _seq_col(batch: pa.Table) -> pa.ChunkedArray | pa.Array:
 class FetchExtract:
     """(entity, lang, title) rows -> nested payload rows."""
 
-    def __init__(self, corpus_dir: str | None = None, sitelinks_ref=None,
-                 pages_ref=None):
-        if pages_ref is not None:
-            # zero-copy shared corpus: actors ray.get the broadcast tables
-            # and build only a row index (cheap __init__, one copy per node)
-            self.wiki = VirtualWiki.from_refs(sitelinks_ref, pages_ref, {})
-        else:
-            self.wiki = VirtualWiki.load(corpus_dir, with_pages=True)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return FetchExtract.run(self.wiki, batch)
-
     @staticmethod
     def run(wiki: VirtualWiki, batch: pa.Table) -> pa.Table:
         # columnar input decode: pull each needed column ONCE per batch
@@ -455,11 +428,10 @@ class AttachBytes:
     zero-copy once per actor in ``__init__``) or as a parquet path; either
     way the lookup index is built ONCE per actor, never per batch.
 
-    Scale path: when the table exceeds the broadcast threshold, bytes live
-    in hash(image_id)-bucketed parquet (:func:`prepare_bucketed_images`)
-    and finalize co-partitions them to the output partitioning once
-    (``pipelines/bytes_shuffle.py``) so each merge task reads only its
-    own partition's bytes."""
+    Scale path: when the table exceeds the broadcast threshold, finalize
+    co-partitions the bytes straight from images.parquet to the output
+    partitioning once (``pipelines/bytes_shuffle.py``) so each merge task
+    reads only its own partition's bytes."""
 
     def __init__(self, images_ref=None, images_path: str | None = None):
         import ray
@@ -490,62 +462,6 @@ def _attach_from(tbl: pa.Table, idx: pd.Index, batch: pa.Table) -> pa.Table:
         cols[name] = src[name]
     cols["bytes_found"] = present
     return pa.table(cols)
-
-
-def image_bucket_of(image_ids, n_buckets: int) -> np.ndarray:
-    """Stable bucket assignment for image ids (blake2b, process-independent).
-
-    Ids repeat heavily across gallery rows, so hash only the UNIQUE values
-    and scatter back via factorization (the ``state.table.key_partition``
-    trick) — same outputs as hashing per row, far fewer digest calls."""
-    import hashlib
-
-    codes, uniques = pd.factorize(np.asarray(image_ids, dtype=object))
-    uh = np.empty(len(uniques), dtype=np.int64)
-    for i, v in enumerate(uniques):
-        h = hashlib.blake2b(str(v).encode("utf-8"), digest_size=8).digest()
-        uh[i] = int.from_bytes(h, "little") % n_buckets
-    if len(codes) == 0:
-        return codes.astype(np.int64)
-    return uh[codes]
-
-
-def prepare_bucketed_images(images_path: str, out_dir: str,
-                            n_buckets: int = 64) -> None:
-    """One-time split of the images table into hash(image_id) bucket files.
-
-    The 100-TB path: the binary column can never live in the object store
-    as one broadcast table (pipelines/crawl.py round-1 did exactly that —
-    VERDICT r1); bucket files bound every downstream task's read to one
-    bucket. Finalize co-partitions them to the output partitioning
-    (pipelines/bytes_shuffle.py) so each merge task reads only its own
-    partition's bytes. Idempotent (skips when up to date)."""
-    os.makedirs(out_dir, exist_ok=True)
-    marker = os.path.join(out_dir, "_meta.json")
-    import json
-
-    src_mtime = os.path.getmtime(images_path)
-    if os.path.exists(marker):
-        with open(marker) as f:
-            meta = json.load(f)
-        if meta.get("src_mtime") == src_mtime and meta.get("n_buckets") == n_buckets:
-            return
-    tbl = pq.read_table(images_path)
-    buckets = image_bucket_of(tbl["image_id"].to_pylist(), n_buckets)
-    for b in range(n_buckets):
-        sub = tbl.filter(pa.array(buckets == b))
-        tmp = os.path.join(out_dir, f"bucket-{b:05d}.parquet.tmp")
-        pq.write_table(sub, tmp)
-        os.replace(tmp, os.path.join(out_dir, f"bucket-{b:05d}.parquet"))
-    with open(marker + ".tmp", "w") as f:
-        json.dump({"src_mtime": src_mtime, "n_buckets": n_buckets}, f)
-    os.replace(marker + ".tmp", marker)
-
-
-# (BucketedAttachBytes — the per-merge-task all-bucket reader — was
-# replaced by the finalize co-partition shuffle in pipelines/
-# bytes_shuffle.py: reading buckets per consumer cost n_partitions x
-# corpus of aggregate decompress, measured anti-scaling at 960k entities.)
 
 
 # ------------------------------------------------------------ explodes

@@ -3,9 +3,9 @@
 Opaque ``binary`` payloads + typed metadata flow through ``map_batches``
 actor pools; batch sizes stay SMALL because bytes dominate block size
 (SURVEY §7.5 "wide binary rows"). Real here: decode (our pure-numpy codecs),
-resize (box average), feature extraction (phash + mean RGB + dims). Stubbed
-behind a clear error: video frame-sampling (no video codec exists in this
-container — the Ray-side plumbing is real and tested with the stub).
+resize (box average), feature extraction (phash + mean RGB + dims), and
+video frame-sampling over WCV containers (codec.py: length-prefixed PNG
+frames, the deterministic stand-in for an ffmpeg-decoded stream).
 """
 
 from __future__ import annotations

@@ -289,7 +289,8 @@ class SeenSet:
         round, so rounds are O(total/chunk); equal keys always co-occur
         in one round, so cross-run dedupe is exact. Measured ~10M keys/s
         through disk vs ~2.5M keys/s for the old per-key ``heapq.merge``
-        loop before it even wrote (probe: scripts/seen_compaction_bench.py)."""
+        loop before it even wrote (COVERAGE.md, "Vectorized spill
+        compaction")."""
         path = os.path.join(self.spill_dir, f"run-{self._run_seq:06d}.npy")
         self._run_seq += 1
         tmp = path + ".tmp"

@@ -124,9 +124,6 @@ class KeyedTable:
         bound) term of the 120k finalize. Semantics identical: when a _seq
         (crawl order) column is present, duplicate keys resolve in CRAWL
         order, not frame order (fr-overwrites-en)."""
-        import time as _t
-
-        _lap0 = _t.time()
         if isinstance(chunk, pd.DataFrame):
             chunk = pa.Table.from_pandas(chunk, preserve_index=False)
 
@@ -214,7 +211,6 @@ class KeyedTable:
         else:
             ex_part = existing
 
-        _lap1 = _t.time()
         # assemble: payload columns move via Arrow take, never pandas
         inc_part = chunk.take(pa.array(inc_rows))
         if "_seq" in inc_part.column_names:
@@ -227,16 +223,9 @@ class KeyedTable:
         merged = pa.concat_tables(
             [ex_part.select(names), inc_part.select(names).cast(self.schema)]
         )
-        _lap2 = _t.time()
         tmp = self._part_path(p) + ".tmp"
         pq.write_table(merged, tmp)
         os.replace(tmp, self._part_path(p))
-        if os.environ.get("WIKICRAWL_MERGE_TIMING"):
-            import sys as _sys
-
-            print(f"MERGE_SUB {os.path.basename(self.path)} p={p} "
-                  f"logic={_lap1-_lap0:.2f} take={_lap2-_lap1:.2f} "
-                  f"write={_t.time()-_lap2:.2f}", file=_sys.stderr, flush=True)
         return {"inserted": n_ins, "updated": n_upd, "deleted": n_del}
 
     def delete_group(self, group_values: list[tuple]) -> int:

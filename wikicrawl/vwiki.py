@@ -165,13 +165,6 @@ class VirtualWiki:
     # -- factory ---------------------------------------------------------
 
     @classmethod
-    def from_refs(cls, sitelinks_ref, pages_ref, robots_disallow: dict) -> "VirtualWiki":
-        """Zero-copy construction from broadcast object refs (actor path)."""
-        import ray
-
-        return cls(ray.get(sitelinks_ref), ray.get(pages_ref), robots_disallow)
-
-    @classmethod
     def load(cls, corpus_dir: str, with_pages: bool = True) -> "VirtualWiki":
         """``with_pages=False`` loads only sitelinks + robots (resolver actors
         don't need page HTML in memory)."""
