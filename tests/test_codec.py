@@ -91,6 +91,29 @@ def test_wcv_container_roundtrip_and_seek_sampling():
         assert (codec.png_decode(p) == frames[i]).all()
 
 
+def test_wcv_sample_rejects_truncated_and_padded_containers():
+    """A cut-short length prefix, a cut-short frame and bytes after the
+    last frame are all a malformed container, never a short sample."""
+    import numpy as np
+    import pytest
+
+    from wikicrawl import codec
+
+    rng = np.random.RandomState(5)
+    data = codec.wcv_encode([rng.randint(0, 256, (4, 5, 3)).astype(np.uint8)
+                             for _ in range(3)])
+    first_len = int.from_bytes(data[8:12], "big")
+    cases = {
+        "prefix": data[:8 + 4 + first_len + 2],  # 2nd length prefix cut
+        "frame": data[:-3],  # last frame cut
+        "padded": data + b"\x00\x00",
+    }
+    for label, bad in cases.items():
+        with pytest.raises(ValueError, match="truncated WCV container"):
+            codec.wcv_sample(bad, 1)
+    assert len(codec.wcv_sample(data, 1)[0]) == 3
+
+
 def test_sample_video_frames_stage(ray_session):
     """Actor-pool frame-sampling stage: binary in -> list<binary> frames
     + list<int64> indices, through a real Ray Data map_batches with the

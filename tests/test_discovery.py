@@ -101,6 +101,40 @@ def test_discovery_metrics_parity(oracle_result, engine_result):
     assert m_e["robots_skipped"] == m_o["robots_skipped"]
 
 
+def test_strict_ticks_fan_out_over_fetch_slots(corpus, oracle_result, ray_session):
+    """Every strict-order tick is spread evenly over the fetch slots, even
+    when it holds far fewer rows than fetch_batch x fetch_concurrency: a
+    tick of r rows runs ceil(r / ceil(r / 3)) fetch tasks, one delta part
+    each. Crawl order, tables and counters stay the oracle's."""
+    out = OUT + "_fanout"
+    shutil.rmtree(out, ignore_errors=True)
+    res = crawl(CrawlConfig(corpus_dir=corpus, out_dir=out, entity_wave=64,
+                            strict_order=True, discover_links=True,
+                            fetch_concurrency=3))
+    waves = sorted(d for d in os.listdir(os.path.join(out, "payload"))
+                   if d.startswith("wave-"))
+    assert len(waves) > 1
+    for w in waves:
+        wdir = os.path.join(out, "payload", w)
+        parts = [f for f in os.listdir(wdir) if f.endswith(".parquet")]
+        r = sum(pq.ParquetFile(os.path.join(wdir, f)).metadata.num_rows
+                for f in parts)
+        assert 0 < r < 64 * 3, w
+        assert len(parts) == -(-r // -(-r // 3)), (w, r, len(parts))
+    log = read_crawl_log(out).to_pandas()
+    want = oracle_result.crawl_log.to_pandas()
+    assert (log.canonical_url.to_numpy() == want.canonical_url.to_numpy()).all()
+    assert (log.seq.to_numpy() == want.seq.to_numpy()).all()
+    for name, keys in (("pages", ["wikidata_id", "lang"]),
+                       ("sections", ["wikidata_id", "lang", "display_order"])):
+        a = norm(res.tables[name].read_all(), keys)
+        b = norm(getattr(oracle_result, name), keys)
+        assert len(a) == len(b), name
+        for c in a.columns:
+            assert (a[c].fillna("¤") == b[c].fillna("¤")).all(), f"{name}.{c}"
+    assert res.metrics["requests"] == oracle_result.metrics["requests"]
+
+
 def test_discovery_tight_budget_order_parity(corpus, oracle_result, ray_session):
     """Under a tight per-host politeness budget the schedule stretches over
     many ticks AND interleaves discovery with seed leftovers; the budgeted

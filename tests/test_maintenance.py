@@ -49,14 +49,13 @@ def test_shared_main_images_scan_and_apply(pages_table, ray_session):
     assert df.main_image_url.notna().sum() == 5
 
 
-@pytest.fixture()
-def images_table(tmp_path):
-    t = KeyedTable(str(tmp_path / "img"), S.IMAGES_OUT,
+def _images_table(path, with_chrome: bool = True) -> KeyedTable:
+    t = KeyedTable(path, S.IMAGES_OUT,
                    key=["wikidata_id", "lang", "display_order"],
                    n_partitions=4, prune_group=["wikidata_id", "lang"])
     rows = []
     for i in range(6):
-        chrome = i % 2 == 0
+        chrome = with_chrome and i % 2 == 0
         fn = "Logo_disambig.svg" if chrome else f"Real_{i}.jpg"
         rows.append({
             "wikidata_id": f"Q{i}", "lang": "en", "display_order": 1,
@@ -72,8 +71,14 @@ def images_table(tmp_path):
     return t
 
 
+@pytest.fixture()
+def images_table(tmp_path):
+    return _images_table(str(tmp_path / "img"))
+
+
 def test_chrome_breakdown_and_apply(images_table, ray_session):
     report = chrome_image_breakdown(images_table, apply=False)
+    assert list(report.columns) == ["file_name", "n_rows"]
     assert report.file_name.iloc[0] == "Logo_disambig.svg"
     assert report.n_rows.iloc[0] == 3
     assert len(images_table.read_all()) == 6
@@ -81,6 +86,18 @@ def test_chrome_breakdown_and_apply(images_table, ray_session):
     left = images_table.read_all().to_pandas()
     assert len(left) == 3
     assert not left.file_name.str.contains("disambig").any()
+
+
+def test_chrome_breakdown_without_chrome_rows(tmp_path, ray_session):
+    """No chrome rows left: an empty report with the report's columns and
+    dtypes, and apply=True deletes nothing."""
+    t = _images_table(str(tmp_path / "img"), with_chrome=False)
+    full = chrome_image_breakdown(_images_table(str(tmp_path / "ref")))
+    for apply in (False, True):
+        report = chrome_image_breakdown(t, apply=apply)
+        assert len(report) == 0
+        assert report.dtypes.to_dict() == full.dtypes.to_dict()
+    assert len(t.read_all()) == 6
 
 
 def test_phash_dup_images(ray_session):

@@ -216,18 +216,26 @@ def wcv_sample(data: bytes, every_n: int) -> tuple[list[bytes], list[int]]:
 
     Unsampled frames are SKIPPED by their length prefix — never inflated,
     never copied; each returned payload is the frame's original PNG bytes
-    (decode with :func:`png_decode`)."""
+    (decode with :func:`png_decode`). Raises ``ValueError`` when a length
+    prefix or a frame runs past the end of ``data``, or bytes trail the
+    last frame."""
     n = wcv_frame_count(data)
     off = 8
     payloads: list[bytes] = []
     idxs: list[int] = []
     for i in range(n):
+        if off + 4 > len(data):
+            raise ValueError("truncated WCV container")
         ln = struct.unpack(">I", data[off:off + 4])[0]
         off += 4
+        if off + ln > len(data):
+            raise ValueError("truncated WCV container")
         if i % every_n == 0:
             payloads.append(data[off:off + ln])
             idxs.append(i)
         off += ln
+    if off != len(data):
+        raise ValueError("truncated WCV container")
     return payloads, idxs
 
 

@@ -16,6 +16,12 @@ exactly the traversal surface the reference's extraction semantics rely on
 
 Entities are decoded by ``HTMLParser(convert_charrefs=True)``. Void elements
 (img, br, hr, ...) never take children.
+
+Document-order index: the parser appends every element to one flat list in
+the order its start tag is seen, which is pre-order. Each node records its
+position in that list and the end of its subtree (one past its last
+descendant), so ``descendants()`` and ``find_all_next()`` are list slices
+and ``find``/``find_all`` scan those slices; no traversal recurses.
 """
 
 from __future__ import annotations
@@ -32,14 +38,20 @@ _VOID_ELEMENTS = frozenset(
 class Node:
     """One element (or the document root). Text lives in ``children`` as ``str``."""
 
-    __slots__ = ("name", "attrs", "children", "parent", "_doc_pos")
+    __slots__ = ("name", "attrs", "children", "parent", "_doc", "_doc_pos", "_end")
 
-    def __init__(self, name: str, attrs: Optional[dict] = None, parent: "Node" = None):
+    def __init__(self, name: str, attrs: dict, parent: Optional["Node"],
+                 doc: list["Node"], pos: int):
         self.name = name
-        self.attrs = attrs or {}
+        self.attrs = attrs
         self.children: list[Union["Node", str]] = []
         self.parent = parent
-        self._doc_pos = -1  # filled in by parse(); total order over elements
+        # the document's flat element list: this node is doc[pos] (the root
+        # is -1) and its descendants are doc[pos + 1:_end]; the builder
+        # moves _end past the last descendant when the element closes
+        self._doc = doc
+        self._doc_pos = pos
+        self._end = pos + 1
 
     # -- attributes ------------------------------------------------------
 
@@ -72,20 +84,17 @@ class Node:
 
     # -- traversal -------------------------------------------------------
 
-    def descendants(self) -> Iterator["Node"]:
+    def descendants(self) -> list["Node"]:
         """All element descendants, document order (pre-order)."""
-        for child in self.children:
-            if isinstance(child, Node):
-                yield child
-                yield from child.descendants()
+        return self._doc[self._doc_pos + 1 : self._end]
 
     def find_all(self, name: Optional[str] = None, recursive: bool = True) -> list["Node"]:
         if recursive:
             pool = self.descendants()
         else:
-            pool = (c for c in self.children if isinstance(c, Node))
+            pool = [c for c in self.children if isinstance(c, Node)]
         if name is None:
-            return list(pool)
+            return pool
         return [n for n in pool if n.name == name]
 
     def find(
@@ -98,15 +107,9 @@ class Node:
                 return n
         return None
 
-    def find_all_next(self) -> Iterator["Node"]:
+    def find_all_next(self) -> list["Node"]:
         """Every element strictly after this one in document order (whole doc)."""
-        root = self
-        while root.parent is not None:
-            root = root.parent
-        pos = self._doc_pos
-        for n in root.descendants():
-            if n._doc_pos > pos:
-                yield n
+        return self._doc[self._doc_pos + 1 :]
 
     def find_parent(
         self, name: Optional[str] = None, class_: Optional[re.Pattern] = None
@@ -156,24 +159,37 @@ class Node:
 class _TreeBuilder(HTMLParser):
     def __init__(self):
         super().__init__(convert_charrefs=True)
-        self.root = Node("[document]")
+        self.doc: list[Node] = []
+        self.root = Node("[document]", {}, None, self.doc, -1)
         self.stack = [self.root]
 
+    def _open(self, tag, attrs) -> Node:
+        parent = self.stack[-1]
+        node = Node(tag, dict(attrs), parent, self.doc, len(self.doc))
+        self.doc.append(node)
+        parent.children.append(node)
+        return node
+
+    def _close(self, i: int) -> None:
+        """Pop stack[i:], ending each popped element's subtree here."""
+        end = len(self.doc)
+        for node in self.stack[i:]:
+            node._end = end
+        del self.stack[i:]
+
     def handle_starttag(self, tag, attrs):
-        node = Node(tag, dict(attrs), parent=self.stack[-1])
-        self.stack[-1].children.append(node)
+        node = self._open(tag, attrs)
         if tag not in _VOID_ELEMENTS:
             self.stack.append(node)
 
     def handle_startendtag(self, tag, attrs):
-        node = Node(tag, dict(attrs), parent=self.stack[-1])
-        self.stack[-1].children.append(node)
+        self._open(tag, attrs)
 
     def handle_endtag(self, tag):
         # close the nearest matching open element (tolerant of stray end tags)
         for i in range(len(self.stack) - 1, 0, -1):
             if self.stack[i].name == tag:
-                del self.stack[i:]
+                self._close(i)
                 break
 
     def handle_data(self, data):
@@ -182,11 +198,9 @@ class _TreeBuilder(HTMLParser):
 
 
 def parse_html(html: str) -> Node:
-    """Parse HTML into a document Node; assigns document-order positions."""
+    """Parse HTML into a document Node with its document-order index."""
     builder = _TreeBuilder()
     builder.feed(html)
     builder.close()
-    root = builder.root
-    for pos, node in enumerate(root.descendants()):
-        node._doc_pos = pos
-    return root
+    builder._close(0)  # elements still open end with the document
+    return builder.root

@@ -51,6 +51,7 @@ from wikicrawl import schema as S
 from wikicrawl.checkpoint import CheckpointLog
 from wikicrawl.pipelines.bytes_shuffle import (
     empty_images_table,
+    read_staging_file,
     row_group_ranges,
     shuffle_image_bytes_to_parts,
 )
@@ -383,7 +384,7 @@ def _compact_staging_dir(pdir: str, snapshot: tuple) -> int:
         files = [f for f in files if os.path.exists(f)]
         if len(files) < 2:
             return 0
-        t = pa.concat_tables([pq.read_table(f) for f in files]).combine_chunks()
+        t = pa.concat_tables([read_staging_file(f) for f in files]).combine_chunks()
         h = _hashlib.blake2b("|".join(sorted(snapshot)).encode(),
                              digest_size=10).hexdigest()
         out = os.path.join(pdir, f"compact-{h}.parquet")
@@ -432,12 +433,12 @@ def _merge_partition_task(name: str, path: str, base_schema: pa.Schema,
         if not files:
             return name, {"inserted": 0, "updated": 0, "deleted": 0}
         try:
-            parts = [pq.read_table(f) for f in files]
+            parts = [read_staging_file(f) for f in files]
             break
         except (FileNotFoundError, pa.ArrowInvalid):
             continue
     else:
-        parts = [pq.read_table(f) for f in files]  # surface the real error
+        parts = [read_staging_file(f) for f in files]  # surface the real error
     # combine: Arrow `take` on a column with thousands of chunks (one per
     # staging file) degrades to per-element chunk search — one compaction
     # copy here makes every downstream kernel O(1) per element
@@ -454,7 +455,7 @@ def _merge_partition_task(name: str, path: str, base_schema: pa.Schema,
                 if f.endswith(".parquet")
             ) if os.path.isdir(bdir) else []
             btbl = (
-                pa.concat_tables([pq.read_table(f) for f in bfiles])
+                pa.concat_tables([read_staging_file(f) for f in bfiles])
                 .combine_chunks() if bfiles else empty_images_table()
             )
             bidx = _pd.Index(btbl["image_id"].to_pandas())
@@ -632,6 +633,11 @@ def crawl(cfg: CrawlConfig) -> CrawlResult:
         s.backlog.remote() for s in frontier.shards
     ]
     del _actor_warmup
+    # fetch tasks of one wave that can run at once: slicing a wave finer
+    # than the cluster has CPUs runs the slices one after another and only
+    # adds each task's fixed cost (a staging file per table and partition)
+    fetch_slots = max(1, min(cfg.fetch_concurrency,
+                             int(ray.cluster_resources().get("CPU", 1))))
     log_dir = os.path.join(cfg.out_dir, "crawl_log")
     retry_dir = os.path.join(cfg.out_dir, "retry")
     seen_dir = os.path.join(cfg.out_dir, "seen_segments")
@@ -994,13 +1000,12 @@ def crawl(cfg: CrawlConfig) -> CrawlResult:
             if cfg.durable_payload:
                 os.makedirs(delta, exist_ok=True)
             refs = []
-            # a wave smaller than fetch_batch x concurrency (the ramp
-            # waves, a short tail) still fans out one task per core —
-            # the configured batch is a ceiling, not a floor
-            eff_batch = max(64, min(
-                cfg.fetch_batch,
-                -(-wave_tbl.num_rows // max(1, cfg.fetch_concurrency)),
-            ))
+            # spread every wave evenly over the fetch slots: a wave
+            # smaller than fetch_batch x slots (a strict-order tick, a
+            # ramp wave, a short tail) still runs one task per slot;
+            # fetch_batch is a ceiling on the slice, not a floor
+            eff_batch = max(1, min(
+                cfg.fetch_batch, -(-wave_tbl.num_rows // fetch_slots)))
             for pi, i in enumerate(range(0, wave_tbl.num_rows, eff_batch)):
                 part = (
                     os.path.join(delta, f"part-{pi:05d}.parquet")

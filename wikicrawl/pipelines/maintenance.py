@@ -93,12 +93,16 @@ def chrome_image_breakdown(images_out: KeyedTable, top: int = 20,
         return df[df.is_chrome]
 
     rows = ds.map_batches(flag, batch_format="pandas").to_pandas()
+    if rows.empty:
+        # batches with no chrome rows come back without columns
+        return pd.DataFrame({"file_name": pd.Series([], dtype=object),
+                             "n_rows": pd.Series([], dtype="int64")})
     report = (
         rows.groupby("file_name").size().rename("n_rows").reset_index()
         .sort_values(["n_rows", "file_name"], ascending=[False, True])
         .head(top).reset_index(drop=True)
     )
-    if apply and len(rows):
+    if apply:
         # hard delete by exact key (no soft-delete — parity with the
         # migration), pushed down to per-partition tasks: each partition
         # anti-joins its rows against the broadcast key index (vectorized)

@@ -61,6 +61,7 @@ class VirtualWiki:
         self._pages_table = pages_table
         self._sitelinks_dict: dict[str, dict[str, tuple[str, int]]] | None = None
         self._page_hash = None  # sorted key hashes + perm (built on demand)
+        self._last_page = (None, None)  # ((lang, title), row) of _page
         self.robots_disallow = {
             host: tuple(prefixes) for host, prefixes in robots_disallow.items()
         }
@@ -146,6 +147,18 @@ class VirtualWiki:
         self._page_order = order
 
     def _page(self, lang: str, title: str) -> dict | None:
+        """The pages row of ``(lang, title)`` as a Python dict (HTML
+        included), or None. The last lookup is kept: one page's summary,
+        parse and media-items requests come in a row, so they share one
+        copy of the row. The virtual requests they count are unchanged."""
+        key, row = self._last_page
+        if key == (lang, title):
+            return row
+        row = self._lookup_page(lang, title)
+        self._last_page = ((lang, title), row)
+        return row
+
+    def _lookup_page(self, lang: str, title: str) -> dict | None:
         self._ensure_page_index()
         import numpy as np
         import pandas as pd
