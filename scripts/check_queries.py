@@ -1,6 +1,6 @@
 """Local stand-in for the driver's correctness gate: run every queries()
 entry and its oracle SQL side-by-side, compare row count, schema (column
-names) and values (column-sorted, row-sorted)."""
+names), values (column-sorted, row-sorted) and per-column dtypes."""
 
 import sys
 
@@ -82,6 +82,20 @@ def compare(name, got: pd.DataFrame, want: pd.DataFrame):
         if not ok:
             bad = np.flatnonzero(~(a.astype(str) == b.astype(str)).to_numpy())[:3]
             return f"col {c} differs at rows {bad.tolist()}: {a.iloc[bad].tolist()} vs {b.iloc[bad].tolist()}"
+    # equal values are not enough: a column the engine returns as int64
+    # where DuckDB says float64 is a different result for the driver.
+    # One exception: DuckDB's fetchdf has no nullable integer dtype, so a
+    # BIGINT column holding NULLs arrives as float64 where the engine
+    # returns pandas' nullable Int64 (the same Arrow int64 column)
+    def same_dtype(c):
+        a, b = got[c].dtype, want[c].dtype
+        return a == b or (str(a) == "Int64" and b == np.float64
+                          and bool(want[c].isna().any()))
+
+    dtypes = [c for c in sorted(got.columns) if not same_dtype(c)]
+    if dtypes:
+        return "dtype " + ", ".join(
+            f"{c}: {got[c].dtype} vs {want[c].dtype}" for c in dtypes)
     return None
 
 

@@ -9,8 +9,9 @@ Ray-Data-first (SURVEY §3.4), LSM-shaped writes:
     ─▶ per wave (driver does only admission + seq assignment):
         seen-set admission (sharded bloom/cuckoo/exact actors, first-wins;
         every admission journaled to the admission WAL first)
-        ─▶ frontier push/pop as ARROW TABLES (hash(host) shards: priority
-           heaps, per-host token buckets; row dicts only inside actors)
+        ─▶ frontier push/pop as ARROW TABLES, one IPC buffer per shard
+           call (hash(host) shards: priority heaps, per-host token
+           buckets; row dicts only inside actors)
         ─▶ background wave job: crawl-log segment ─▶ map_batches(fetch
            tasks — one HTML parse: sections+captions+links) ─▶ payload
            DELTA ─▶ discovered links admitted to the frontier at rank 99
@@ -21,6 +22,12 @@ Ray-Data-first (SURVEY §3.4), LSM-shaped writes:
        image BYTES attach at this single write (broadcast ref below the
        size limit; above it, co-partitioned straight from images.parquet
        to the output partitions by pipelines/bytes_shuffle.py).
+
+State plane lifetime: the seen-set and frontier shard actors live for the
+Ray session. Each crawl leases the idle pair, reset in place to this
+crawl's arguments (a new pair only when none matches), and hands it back
+emptied after its last call, or kills it if the crawl failed
+(state/placement.py).
 
 Scale notes: per-wave cost is O(wave), compaction is O(total) once; the
 entity stream never materializes as a driver list; bytes move from their
@@ -65,6 +72,7 @@ from wikicrawl.stages.crawl_stages import (
     payload_to_sections,
 )
 from wikicrawl.state.frontier import ShardedFrontier
+from wikicrawl.state.placement import lease_state_plane, release_state_plane
 from wikicrawl.state.seen import ShardedSeenSet
 from wikicrawl.state.table import KeyedTable, key_partition
 
@@ -586,18 +594,47 @@ def open_tables(out_dir: str, n_partitions: int) -> dict[str, KeyedTable]:
 
 
 def crawl(cfg: CrawlConfig) -> CrawlResult:
-    import copy as _copy
-    import glob as _glob
+    """Run one crawl on a state plane leased for it (state/placement.py)."""
     import json
-    import threading
-    import time as _time
-    from concurrent.futures import ThreadPoolExecutor
 
     if not cfg.durable_payload and (cfg.discover_links or cfg.resume):
         raise ValueError(
             "durable_payload=False (ephemeral mode) is incompatible with "
             "discover_links/resume: both replay from the payload delta"
         )
+    with open(os.path.join(cfg.corpus_dir, "meta.json")) as f:
+        robots = json.load(f)["robots_disallow"]
+    # seen-set spill runs are run-scoped derived state: clear them on every
+    # start (a crashed run's files must not leak in)
+    seen_spill = os.path.join(cfg.out_dir, "seen_spill")
+    shutil.rmtree(seen_spill, ignore_errors=True)
+    seen, frontier = lease_state_plane(
+        cfg.n_seen_shards, cfg.n_frontier_shards,
+        {"spill_dir": seen_spill, "max_resident_keys": cfg.seen_resident_keys},
+        {"rate": cfg.host_rate, "burst": cfg.host_burst,
+         "robots_rules": robots, "hot_hosts": cfg.hot_hosts,
+         "host_delays": cfg.host_delays},
+    )
+    finished = False
+    try:
+        result = _run_crawl(cfg, robots, seen, frontier)
+        finished = True
+        return result
+    finally:
+        # _run_crawl's own exit has joined its writers, commits and
+        # compactors, so no call can reach the pair after this; a pair
+        # whose crawl failed is killed here, never handed back
+        release_state_plane(seen, frontier, finished)
+
+
+def _run_crawl(cfg: CrawlConfig, robots: dict, seen: ShardedSeenSet,
+               frontier: ShardedFrontier) -> CrawlResult:
+    import copy as _copy
+    import glob as _glob
+    import threading
+    import time as _time
+    from concurrent.futures import ThreadPoolExecutor
+
     os.makedirs(cfg.out_dir, exist_ok=True)
     ckpt = CheckpointLog(cfg.out_dir)
     m = ckpt.latest() if cfg.resume else None
@@ -607,32 +644,13 @@ def crawl(cfg: CrawlConfig) -> CrawlResult:
         # attempt must not leak into this one
         _reset_dirs(os.path.join(cfg.out_dir, sub) for sub in _RUN_DIRS)
 
-    with open(os.path.join(cfg.corpus_dir, "meta.json")) as f:
-        robots = json.load(f)["robots_disallow"]
-
     tables = open_tables(cfg.out_dir, cfg.n_table_partitions)
     stage_specs = {
         name: (os.path.join(tbl.path, "staging"), tbl.key, tbl.n_partitions)
         for name, tbl in tables.items()
     }
-    # staging and seen-set spill runs are run-scoped derived state: clear
-    # both on every start (a crashed run's files must not leak in)
+    # staging is run-scoped derived state too: cleared on every start
     _reset_dirs(staging for staging, _, _ in stage_specs.values())
-    seen_spill = os.path.join(cfg.out_dir, "seen_spill")
-    shutil.rmtree(seen_spill, ignore_errors=True)
-    seen = ShardedSeenSet(cfg.n_seen_shards, spill_dir=seen_spill,
-                          max_resident_keys=cfg.seen_resident_keys)
-    frontier = ShardedFrontier(
-        cfg.n_frontier_shards, cfg.host_rate, cfg.host_burst, robots,
-        hot_hosts=cfg.hot_hosts, host_delays=cfg.host_delays,
-    )
-    # warm the state actors NOW (fire-and-forget no-ops): actor processes
-    # spawn lazily on first call, and paying that inside wave 1's
-    # admission/pop was a measurable slice of the serial ramp-in
-    _actor_warmup = [s.size.remote() for s in seen.shards] + [
-        s.backlog.remote() for s in frontier.shards
-    ]
-    del _actor_warmup
     # fetch tasks of one wave that can run at once: slicing a wave finer
     # than the cluster has CPUs runs the slices one after another and only
     # adds each task's fixed cost (a staging file per table and partition)

@@ -325,7 +325,7 @@ def q09_window_tumbling(sf_dir: str):
 
 
 SQL_Q09 = """
-SELECT event_type, date_trunc('hour', ts) AS hour_ts,
+SELECT event_type, CAST(date_trunc('hour', ts) AS TIMESTAMP_S) AS hour_ts,
        count(*) AS n, round(sum(value), 3) AS sum_value
 FROM events GROUP BY 1, 2 ORDER BY 1, 2
 """
@@ -818,7 +818,7 @@ def q22_simhash_dups(sf_dir: str):
 
 SQL_Q22 = SQL_SIMHASH_CTE + f"""
 SELECT a.doc_id AS id_a, b.doc_id AS id_b,
-       bit_count(xor(a.simhash, b.simhash)) AS hamming
+       CAST(bit_count(xor(a.simhash, b.simhash)) AS BIGINT) AS hamming
 FROM sim a JOIN sim b ON a.doc_id < b.doc_id
 WHERE bit_count(xor(a.simhash, b.simhash)) <= {SIMHASH_MAX_HAMMING}
 ORDER BY id_a, id_b
@@ -2440,7 +2440,7 @@ def q48_json_extract(sf_dir: str):
 SQL_Q48 = """
 SELECT CAST(regexp_extract(props, '"k": ([0-9]+)', 1) AS BIGINT) AS k,
        count(*) AS n,
-       sum(CAST(round(value * 100) AS BIGINT)) AS sum_cents
+       CAST(sum(CAST(round(value * 100) AS BIGINT)) AS BIGINT) AS sum_cents
 FROM events
 GROUP BY 1
 ORDER BY k
@@ -2599,7 +2599,7 @@ fp AS (
 SQL_Q51 = f"""
 WITH {_SQL_Q51_FP}
 SELECT a.doc_id AS id_a, b.doc_id AS id_b,
-       bit_count(xor(a.ahash, b.ahash)) AS hamming
+       CAST(bit_count(xor(a.ahash, b.ahash)) AS BIGINT) AS hamming
 FROM fp a JOIN fp b ON a.doc_id < b.doc_id
 WHERE bit_count(xor(a.ahash, b.ahash)) <= {AHASH_MAX_HAMMING}
 ORDER BY id_a, id_b
@@ -5493,7 +5493,7 @@ fp AS (
 SQL_Q85 = f"""
 WITH {_SQL_Q85_FP}
 SELECT a.doc_id AS id_a, b.doc_id AS id_b,
-       bit_count(xor(a.whash, b.whash)) AS hamming
+       CAST(bit_count(xor(a.whash, b.whash)) AS BIGINT) AS hamming
 FROM fp a JOIN fp b ON a.doc_id < b.doc_id
 WHERE bit_count(xor(a.whash, b.whash)) <= {WHASH_MAX_HAMMING}
 ORDER BY id_a, id_b
@@ -5631,8 +5631,8 @@ ranked AS (
   FROM chunks
 )
 SELECT source, count(*) AS n_chunks,
-       sum(CASE WHEN rn > 1 THEN 1 ELSE 0 END) AS n_dup_chunks,
-       sum(CASE WHEN rn > 1 THEN length ELSE 0 END) AS dup_bytes
+       CAST(sum(CASE WHEN rn > 1 THEN 1 ELSE 0 END) AS BIGINT) AS n_dup_chunks,
+       CAST(sum(CASE WHEN rn > 1 THEN length ELSE 0 END) AS BIGINT) AS dup_bytes
 FROM ranked GROUP BY source ORDER BY source
 """
 
@@ -5741,7 +5741,7 @@ fp AS (
   FROM bt WHERE w < {AFP_NW - 1} GROUP BY doc_id
 )
 SELECT a.doc_id AS id_a, b.doc_id AS id_b,
-       bit_count(xor(a.afp, b.afp)) AS hamming
+       CAST(bit_count(xor(a.afp, b.afp)) AS BIGINT) AS hamming
 FROM fp a JOIN fp b ON a.doc_id < b.doc_id
 WHERE bit_count(xor(a.afp, b.afp)) <= {AFP_MAX_HAMMING}
 ORDER BY id_a, id_b
@@ -5907,9 +5907,9 @@ ds AS (
   FROM grams g JOIN w ON w.b = g.b GROUP BY 1
 )
 SELECT d.source, count(*) AS n_docs,
-       sum(CASE WHEN coalesce(s.score, 0) > 0 THEN 1 ELSE 0 END)
-         AS n_selected,
-       sum(coalesce(s.score, 0)) AS sum_score
+       CAST(sum(CASE WHEN coalesce(s.score, 0) > 0 THEN 1 ELSE 0 END)
+         AS BIGINT) AS n_selected,
+       CAST(sum(coalesce(s.score, 0)) AS BIGINT) AS sum_score
 FROM documents d LEFT JOIN ds s ON s.doc_id = d.doc_id
 GROUP BY 1 ORDER BY 1
 """
@@ -6111,8 +6111,9 @@ syms{r + 1} AS MATERIALIZED (
   FROM ap{r}
 )""")
         sel_rows.append(
-            f"SELECT {r} AS round, l AS left_sym, r2 AS right_sym, "
-            f"l || r2 AS merged, c AS cnt FROM best{r}")
+            f"SELECT CAST({r} AS BIGINT) AS round, l AS left_sym, "
+            f"r2 AS right_sym, l || r2 AS merged, CAST(c AS BIGINT) AS cnt "
+            f"FROM best{r}")
         prev = f"syms{r + 1}"
     chain = f"""words AS MATERIALIZED (
   SELECT w AS word, count(*) AS cnt FROM (
@@ -6206,9 +6207,9 @@ occ AS (
   FROM documents
 )
 SELECT o.source, count(*) AS n_words,
-       sum(length(o.w)) AS n_chars,
-       sum(wt.nt) AS n_tokens,
-       (sum(wt.nt) * 1000) // sum(length(o.w)) AS ratio_milli
+       CAST(sum(length(o.w)) AS BIGINT) AS n_chars,
+       CAST(sum(wt.nt) AS BIGINT) AS n_tokens,
+       CAST((sum(wt.nt) * 1000) // sum(length(o.w)) AS BIGINT) AS ratio_milli
 FROM occ o JOIN wt ON wt.word = o.w
 GROUP BY o.source ORDER BY o.source
 """
@@ -7783,7 +7784,8 @@ def _sql_q109() -> str:
                 f"greatest(m.s, {sim.format(j=j)}) AS s "
                 f"FROM dd d JOIN m{j-1} m USING (vec_id))")
     sel = " UNION ALL ".join(
-        f"SELECT {j} AS rank, vec_id, s AS sel_score_micro FROM c{j}"
+        f"SELECT CAST({j} AS BIGINT) AS rank, vec_id, "
+        f"s AS sel_score_micro FROM c{j}"
         for j in range(1, KCENTER_K + 1))
     return "".join(parts) + " " + sel + " ORDER BY rank"
 
@@ -8215,7 +8217,8 @@ pres AS MATERIALIZED (
                     f"SELECT gh FROM pres "
                     f"WHERE source = (SELECT source FROM c{j}))")
     sel = " UNION ALL ".join(
-        f"SELECT {j} AS rank, source, new_covered FROM c{j}"
+        f"SELECT CAST({j} AS BIGINT) AS rank, source, new_covered "
+        f"FROM c{j}"
         for j in range(1, SETCOVER_K + 1))
     return "".join(parts) + " " + sel + " ORDER BY rank"
 

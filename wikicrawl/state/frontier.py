@@ -276,28 +276,51 @@ class FrontierShardState:
         }
 
 
+def _to_ipc(tbl: "pa.Table") -> "pa.Buffer":
+    """One Arrow table as one IPC stream buffer. Tables cross the
+    driver-actor boundary in this form: Ray's own table serializer imports
+    its tensor extensions (ray.data, pandas, ...) in the receiving process,
+    a one-off cost of about a second in every new actor."""
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, tbl.schema) as w:
+        w.write_table(tbl)
+    return sink.getvalue()
+
+
+def _from_ipc(buf: "pa.Buffer") -> "pa.Table":
+    return pa.ipc.open_stream(buf).read_all()
+
+
 @ray.remote
 class FrontierShardActor:
     def __init__(self, shard_id: int, rate: float, burst: float, robots_rules=None,
                  host_rates=None):
+        self.reset(shard_id, rate, burst, robots_rules, host_rates)
+
+    def reset(self, shard_id: int, rate: float, burst: float, robots_rules=None,
+              host_rates=None) -> None:
+        """The state a new actor built with these arguments starts in (a
+        leased shard is reset, never patched: state/placement.py)."""
         self.state = FrontierShardState(shard_id, rate, burst, robots_rules,
                                         host_rates)
 
     def push_batch(self, rows):
         return self.state.push_batch(rows)
 
-    def push_table(self, tbl) -> int:
-        """Arrow-table push: stored once, one stable lexsort per host run —
-        rows never become Python dicts (parallel across shards, never on
-        the driver thread)."""
-        return self.state.push_table_rows(tbl)
+    def push_table(self, buf) -> int:
+        """Arrow-table push (an IPC buffer): stored once, one stable lexsort
+        per host run — rows never become Python dicts (parallel across
+        shards, never on the driver thread)."""
+        return self.state.push_table_rows(_from_ipc(buf))
 
     def pop_wave(self):
         return self.state.pop_wave()
 
     def pop_wave_table(self, schema):
-        """One politeness tick as an Arrow table (vectorized take)."""
-        return self.state.pop_wave_table_state(schema)
+        """One politeness tick as an Arrow IPC buffer (vectorized take), or
+        None when nothing is due."""
+        tbl = self.state.pop_wave_table_state(schema)
+        return None if tbl is None else _to_ipc(tbl)
 
     def backlog(self):
         return self.state.backlog()
@@ -315,7 +338,8 @@ class ShardedFrontier:
     """
 
     def __init__(self, n_shards: int, rate: float, burst: float, robots_rules=None,
-                 hot_hosts: dict | None = None, host_delays: dict | None = None):
+                 hot_hosts: dict | None = None, host_delays: dict | None = None,
+                 shards: list | None = None):
         """``hot_hosts``: {host: n_split} — skew clause of the north_rule.
         ``host_delays``: {host: delay_ticks} — robots Crawl-delay analog;
         the host's bucket becomes rate 1/delay, burst 1 (one URL every
@@ -325,7 +349,13 @@ class ShardedFrontier:
         each sub-queue receives ``rate / n_split`` of the host's politeness
         budget, so heap operations parallelize while the TOTAL per-host rate
         is preserved. Tradeoff (documented): strict per-host priority order
-        holds per sub-queue, not across them."""
+        holds per sub-queue, not across them.
+
+        ``shards``: ``n_shards`` existing actors to reuse instead of
+        starting new ones (state/placement.py leases them). Each is reset
+        to the state a new actor built from these arguments starts in; the
+        resets are submitted, not awaited — ``self.resets`` holds their refs
+        (empty for new actors)."""
         self.n_shards = n_shards
         self.hot_hosts = dict(hot_hosts or {})
         self._inflight: list = []  # un-awaited push refs (bounded)
@@ -334,14 +364,18 @@ class ShardedFrontier:
             h: (1.0 / max(1.0, float(d)), 1.0)
             for h, d in (host_delays or {}).items()
         }
-        from wikicrawl.state.placement import driver_affinity_options
+        args = [(i, rate, burst, robots_rules, host_rates)
+                for i in range(n_shards)]
+        if shards is None:
+            from wikicrawl.state.placement import driver_affinity_options
 
-        self.shards = []
-        for i in range(n_shards):
-            self.shards.append(
-                FrontierShardActor.options(**driver_affinity_options())
-                .remote(i, rate, burst, robots_rules, host_rates)
-            )
+            opts = driver_affinity_options()
+            self.shards = [FrontierShardActor.options(**opts).remote(*a)
+                           for a in args]
+            self.resets = []
+        else:
+            self.shards = list(shards)
+            self.resets = [s.reset.remote(*a) for s, a in zip(self.shards, args)]
         # sub-queue budgets: a split host's bucket rate is divided; shards
         # learn the division lazily via the per-row host key suffixing below
 
@@ -391,7 +425,8 @@ class ShardedFrontier:
             n_split = self.hot_hosts.get(host, 1)
             if n_split == 1:
                 shard, _ = self._owner(host)
-                refs.append(self.shards[shard].push_table.remote(host_rows))
+                refs.append(
+                    self.shards[shard].push_table.remote(_to_ipc(host_rows)))
             else:
                 sub = (host_rows["url_hash"].to_numpy(zero_copy_only=False)
                        .astype(np.uint64) % np.uint64(n_split)).astype(np.int64)
@@ -406,7 +441,8 @@ class ShardedFrontier:
                         "__rate_div",
                         pa.array([n_split] * part.num_rows, type=pa.int64()),
                     )
-                    refs.append(self.shards[shard].push_table.remote(part))
+                    refs.append(
+                        self.shards[shard].push_table.remote(_to_ipc(part)))
         # non-blocking: actor tasks from this caller execute in submission
         # order, so a later pop/backlog on the same shard always observes
         # this push; the driver never waits on admission fan-out
@@ -433,7 +469,7 @@ class ShardedFrontier:
         import pyarrow.compute as pc
 
         parts = [
-            p for p in ray.get(
+            _from_ipc(p) for p in ray.get(
                 [s.pop_wave_table.remote(schema) for s in self.shards]
             )
             if p is not None

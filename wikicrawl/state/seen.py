@@ -477,6 +477,14 @@ class SeenShardActor:
     def __init__(self, shard_id: int, capacity: int = 1 << 16,
                  spill_dir: str | None = None,
                  max_resident_keys: int = 1 << 22):
+        self.reset(shard_id, capacity, spill_dir, max_resident_keys)
+
+    def reset(self, shard_id: int, capacity: int = 1 << 16,
+              spill_dir: str | None = None,
+              max_resident_keys: int = 1 << 22) -> None:
+        """The state a new actor built with these arguments starts in (a
+        leased shard is reset, never patched: state/placement.py); the old
+        set's spill-run memmaps go with it."""
         self.shard_id = shard_id
         self.seen = SeenSet(capacity, spill_dir=spill_dir,
                             max_resident_keys=max_resident_keys)
@@ -506,19 +514,30 @@ class ShardedSeenSet:
 
     def __init__(self, n_shards: int, capacity_per_shard: int = 1 << 16,
                  spill_dir: str | None = None,
-                 max_resident_keys: int = 1 << 22):
-        from wikicrawl.state.placement import driver_affinity_options
-
+                 max_resident_keys: int = 1 << 22,
+                 shards: list | None = None):
+        """``shards``: ``n_shards`` existing actors to reuse instead of
+        starting new ones (state/placement.py leases them). Each is reset
+        to the state a new actor built from these arguments starts in; the
+        resets are submitted, not awaited — ``self.resets`` holds their refs
+        (empty for new actors)."""
         self.n_shards = n_shards
-        opts = driver_affinity_options()
-        self.shards = [
-            SeenShardActor.options(**opts).remote(
-                i, capacity_per_shard,
-                os.path.join(spill_dir, f"shard-{i:04d}") if spill_dir else None,
-                max_resident_keys,
-            )
+        args = [
+            (i, capacity_per_shard,
+             os.path.join(spill_dir, f"shard-{i:04d}") if spill_dir else None,
+             max_resident_keys)
             for i in range(n_shards)
         ]
+        if shards is None:
+            from wikicrawl.state.placement import driver_affinity_options
+
+            opts = driver_affinity_options()
+            self.shards = [SeenShardActor.options(**opts).remote(*a)
+                           for a in args]
+            self.resets = []
+        else:
+            self.shards = list(shards)
+            self.resets = [s.reset.remote(*a) for s, a in zip(self.shards, args)]
 
     def _route(self, keys: np.ndarray) -> np.ndarray:
         return (keys % np.uint64(self.n_shards)).astype(np.int64)
