@@ -5,6 +5,7 @@ set); hot-host splitting must preserve the total per-host budget."""
 import os
 import shutil
 
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
@@ -60,14 +61,14 @@ def test_tight_budget_per_host_order_and_output_parity(corpus, ray_session):
 
 def test_token_bucket_caps_emissions_per_tick():
     st = FrontierShardState(0, rate=5, burst=5)
-    rows = [
+    tbl = pa.Table.from_pylist([
         dict(family_rank=0, seed_order=i, lang_rank=0, host="en.x", path=f"/wiki/P{i}")
         for i in range(17)
-    ]
-    st.push_batch(rows)
+    ])
+    st.push_table_rows(tbl)
     sizes = []
     while st.backlog():
-        sizes.append(len(st.pop_wave()))
+        sizes.append(st.pop_wave_table_state(tbl.schema).num_rows)
     assert sizes == [5, 5, 5, 2]  # never exceeds the per-tick budget
 
 
@@ -76,22 +77,25 @@ def test_hot_host_split_preserves_total_budget(ray_session):
     TOTAL emissions per tick must not exceed the host's budget."""
     fr = ShardedFrontier(n_shards=3, rate=12, burst=12,
                          hot_hosts={"hot.example": 3})
-    rows = [
+    tbl = pa.Table.from_pylist([
         dict(family_rank=0, seed_order=i, lang_rank=0, host="hot.example",
              path=f"/wiki/H{i}", url_hash=i * 7919)
         for i in range(40)
-    ]
-    assert fr.push_batch(rows) == 40
+    ])
+    fr.push_table(tbl)
+    assert fr.backlog() == 40
     total = 0
     emitted_all = []
     while fr.backlog():
-        tick = fr.pop_wave()
-        assert len(tick) <= 12  # total per-host budget preserved across splits
-        total += len(tick)
-        emitted_all.extend(tick)
+        tick = fr.pop_wave_table(tbl.schema)
+        n = 0 if tick is None else tick.num_rows
+        assert n <= 12  # total per-host budget preserved across splits
+        total += n
+        if tick is not None:
+            emitted_all.extend(tick["path"].to_pylist())
     assert total == 40
     # every URL emitted exactly once
-    assert len({r["path"] for r in emitted_all}) == 40
+    assert len(set(emitted_all)) == 40
 
 
 def test_crawl_with_hot_host_split_matches_oracle_set(corpus, ray_session):
@@ -124,11 +128,12 @@ def test_host_delay_override_unit():
                  path=f"/wiki/S{i}") for i in range(3)]
     rows += [dict(family_rank=0, seed_order=i, lang_rank=0, host="fast.x",
                   path=f"/wiki/F{i}") for i in range(3)]
-    st.push_batch(rows)
+    tbl = pa.Table.from_pylist(rows)
+    st.push_table_rows(tbl)
     per_tick = []
     for _ in range(9):
-        emitted = st.pop_wave()
-        per_tick.append(sorted(r["host"] for r in emitted))
+        emitted = st.pop_wave_table_state(tbl.schema)
+        per_tick.append([] if emitted is None else sorted(emitted["host"].to_pylist()))
         if not st.backlog():
             break
     # tick 1: fast host drains fully + slow host's burst token

@@ -185,3 +185,61 @@ def test_q103_left_semantics_zero_order_customers(tmp_path, ray_session):
     # 10.005*100 rounds half-away to 1001 (the q48 rounding discipline)
     assert got == {1: (2, 1001 + 2000), 2: (0, 0),
                    3: (1, 556), 4: (0, 0)}
+
+
+def test_q114_stops_when_coverage_saturates(tmp_path, ray_session):
+    """Two train sources cover every benchmark gram in two rounds; rounds
+    3..SETCOVER_K add nothing, and neither side emits a row for them."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from scripts.check_queries import compare
+    from wikicrawl.queries import BENCH_DOC_MOD, ORACLE_SQL, SETCOVER_K, QUERIES
+
+    d = str(tmp_path)
+    pq.write_table(pa.table({
+        "doc_id": pa.array([0, 1, 2, 3], pa.int64()),
+        "text": ["a b c d e", "a b c d", "c d e", "x y z"],
+        "source": ["bench", "s1", "s2", "s3"]}), f"{d}/documents.parquet")
+    assert BENCH_DOC_MOD > 3 and SETCOVER_K > 2
+    got = QUERIES["q114_setcover_sources"](d)
+    c = duckdb.connect()
+    c.execute(f"CREATE VIEW documents AS SELECT * FROM "
+              f"read_parquet('{d}/documents.parquet')")
+    want = c.execute(ORACLE_SQL["q114_setcover_sources"]).fetchdf()
+    assert compare("q114", got, want) is None
+    assert got[["source", "new_covered"]].values.tolist() == [["s1", 2], ["s2", 1]]
+
+
+def test_q12_asof_matches_on_overlapping_dates(tmp_path, ray_session):
+    """The driver testdata's events all fall after every order, so the
+    ASOF condition never holds there. Map event times linearly onto the
+    order-date range: some orders then find a latest event, others
+    (unknown user, or no event yet) stay NULL — on both sides."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from wikicrawl.queries import SQL_Q12, q12_asof_join
+
+    d = str(tmp_path)
+    orders = pq.read_table(f"{SF}/orders.parquet",
+                           columns=["o_orderkey", "o_custkey", "o_orderdate"])
+    events = pq.read_table(f"{SF}/events.parquet",
+                           columns=["event_id", "ts", "user_id"])
+    o = orders["o_orderdate"].cast(pa.int64()).to_numpy()
+    t = events["ts"].cast(pa.int64()).to_numpy()
+    ts = o.min() + (t - t.min()) * (o.max() - o.min()) // (t.max() - t.min())
+    events = events.set_column(1, "ts", pa.array(ts.astype(np.int64))
+                               .cast(events.schema.field("ts").type))
+    pq.write_table(orders, f"{d}/orders.parquet")
+    pq.write_table(events, f"{d}/events.parquet")
+
+    got = q12_asof_join(d)
+    c = duckdb.connect()
+    for name in ("orders", "events"):
+        c.execute(f"CREATE VIEW {name} AS SELECT * FROM "
+                  f"read_parquet('{d}/{name}.parquet')")
+    want = c.execute(SQL_Q12).fetchdf()
+    assert _compare(got, want) is None
+    assert 0 < int(got["last_event_id"].notna().sum()) < len(got)

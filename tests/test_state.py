@@ -58,36 +58,36 @@ def test_seen_set_first_wins_and_exactness(tmp_path):
 
 def test_frontier_priority_and_politeness():
     st = FrontierShardState(0, rate=3, burst=3)
-    rows = [
+    tbl = pa.Table.from_pylist([
         dict(family_rank=1, seed_order=0, lang_rank=0, host="en.x", path="/wiki/A"),
         dict(family_rank=0, seed_order=1, lang_rank=1, host="en.x", path="/wiki/B"),
         dict(family_rank=0, seed_order=1, lang_rank=0, host="en.x", path="/wiki/C"),
         dict(family_rank=0, seed_order=0, lang_rank=0, host="fr.x", path="/wiki/D"),
         dict(family_rank=2, seed_order=0, lang_rank=0, host="en.x", path="/wiki/E"),
-    ]
-    assert st.push_batch(rows) == 5
-    wave1 = st.pop_wave()
+    ])
+    assert st.push_table_rows(tbl) == 5
+    wave1 = st.pop_wave_table_state(tbl.schema).to_pylist()
     # per-host budget 3: en.x yields its top-3 by priority; fr.x yields its 1
     en = [r["path"] for r in wave1 if r["host"] == "en.x"]
     assert en == ["/wiki/C", "/wiki/B", "/wiki/A"]
     assert [r["path"] for r in wave1 if r["host"] == "fr.x"] == ["/wiki/D"]
-    wave2 = st.pop_wave()
+    wave2 = st.pop_wave_table_state(tbl.schema).to_pylist()
     assert [r["path"] for r in wave2] == ["/wiki/E"]
-    assert st.pop_wave() == []
+    assert st.pop_wave_table_state(tbl.schema) is None
 
 
 def test_frontier_robots_denied_at_admission():
     st = FrontierShardState(
         0, rate=10, burst=10, robots_rules={"en.x": ("/wiki/Special_blocked",)}
     )
-    rows = [
+    tbl = pa.Table.from_pylist([
         dict(family_rank=0, seed_order=0, lang_rank=0, host="en.x", path="/wiki/OK"),
         dict(family_rank=0, seed_order=1, lang_rank=0, host="en.x",
              path="/wiki/Special_blocked_Z"),
-    ]
-    assert st.push_batch(rows) == 1
+    ])
+    assert st.push_table_rows(tbl) == 1
     assert st.robots_denied == 1
-    assert [r["path"] for r in st.pop_wave()] == ["/wiki/OK"]
+    assert st.pop_wave_table_state(tbl.schema)["path"].to_pylist() == ["/wiki/OK"]
 
 
 SCHEMA = pa.schema(

@@ -25,6 +25,7 @@ Semantics encoded here:
 
 from __future__ import annotations
 
+import heapq
 import os
 import re
 from dataclasses import dataclass, field
@@ -35,11 +36,21 @@ import pyarrow.parquet as pq
 from wikicrawl import schema
 from wikicrawl.canonical import canonical_page_url, host_of, url_hash64
 from wikicrawl.extract import build_payload
-from wikicrawl.families import FAMILIES, LANGS
+from wikicrawl.families import DISCOVERED, FAMILIES, LANGS
 from wikicrawl.sections import extract_format_line
 from wikicrawl.vwiki import VirtualWiki
 
 QID_RE = re.compile(r"^Q[0-9]+$")
+
+# output table -> schema, in OracleResult field order
+_TABLES = {
+    "pages": schema.PAGES,
+    "sections": schema.SECTIONS,
+    "images_out": schema.IMAGES_OUT,
+    "entity_images": schema.ENTITY_IMAGES,
+    "movie_format": schema.MOVIE_FORMAT,
+    "crawl_log": schema.CRAWL_LOG,
+}
 
 
 @dataclass
@@ -56,144 +67,17 @@ class OracleResult:
     metrics: dict = field(default_factory=dict)
 
 
-def run_oracle(corpus_dir: str) -> OracleResult:
+def _load(corpus_dir: str):
+    """The corpus, its source images by id, and the owned seeds in crawl
+    order: family precedence, then ``ORDER BY id`` within a family. A seed
+    is owned by the LOWEST-rank family whose seed table holds its Qid; rows
+    failing the Qid validity filter are dropped."""
     wiki = VirtualWiki.load(corpus_dir)
     seeds = pq.read_table(os.path.join(corpus_dir, "seeds.parquet")).to_pylist()
     images_in = {
         r["image_id"]: r
         for r in pq.read_table(os.path.join(corpus_dir, "images.parquet")).to_pylist()
     }
-
-    # ownership: min family_rank per qid over seed membership
-    owner: dict[str, int] = {}
-    for r in seeds:
-        q = r["wikidata_id"]
-        if q not in owner or r["family_rank"] < owner[q]:
-            owner[q] = r["family_rank"]
-
-    by_family: dict[int, list[dict]] = {}
-    for r in seeds:
-        by_family.setdefault(r["family_rank"], []).append(r)
-    for rows in by_family.values():
-        rows.sort(key=lambda r: r["seed_order"])
-
-    pages_rows, section_rows, image_rows = [], [], []
-    entity_image_rows, movie_format_rows, log_rows = [], [], []
-    seen: set[int] = set()
-    retry, robots_skipped = [], []
-    seq = 0
-    n_requests = 0
-    no_sitelink = 0
-    # per-(family, lang) successful-content-page counters (the reference's
-    # strwikipediacrawler<content><lang>count server vars,
-    # wikipedia_page_writer.py:325-333)
-    page_counters: dict[str, int] = {}
-
-    for fam in FAMILIES:
-        for row in by_family.get(fam.rank, []):
-            qid = row["wikidata_id"]
-            if not qid or not QID_RE.match(qid):
-                continue  # validity filter (every builder)
-            if owner[qid] != fam.rank:
-                continue  # exclusion chain: owned by an earlier family
-            links, attempts = wiki.resolve_sitelinks(qid)
-            n_requests += attempts
-            if links is None:
-                retry.append((fam.content, qid))
-                continue
-            for lang in LANGS:
-                title = links.get(lang)
-                if not title:
-                    no_sitelink += 1
-                    continue
-                url = canonical_page_url(title, lang)
-                if not wiki.robots_allowed(url):
-                    robots_skipped.append(url)
-                    continue
-                h = url_hash64(url)
-                if h in seen:
-                    continue  # first-wins URL-seen (same-URL collision guard)
-                seen.add(h)
-                seq += 1
-                log_rows.append(
-                    {
-                        "seq": seq,
-                        "canonical_url": url,
-                        "url_hash": h,
-                        "host": host_of(url),
-                        "family": fam.content,
-                        "entity_id": row["entity_id"],
-                        "wikidata_id": qid,
-                        "lang": lang,
-                    }
-                )
-                payload = build_payload(wiki, title, lang, fam.needs_image)
-                n_requests += payload["requests"]
-                if payload["success"] and payload["has_content"]:
-                    key = f"{fam.content}/{lang}"
-                    page_counters[key] = page_counters.get(key, 0) + 1
-                _persist(
-                    payload, fam, row, qid, lang, images_in,
-                    pages_rows, section_rows, image_rows,
-                    entity_image_rows, movie_format_rows,
-                )
-
-    def tbl(rows, sch):
-        if not rows:
-            return sch.empty_table()
-        cols = {f.name: [r.get(f.name) for r in rows] for f in sch}
-        return pa.table(cols, schema=sch)
-
-    return OracleResult(
-        pages=tbl(pages_rows, schema.PAGES),
-        sections=tbl(section_rows, schema.SECTIONS),
-        images_out=tbl(image_rows, schema.IMAGES_OUT),
-        entity_images=tbl(entity_image_rows, schema.ENTITY_IMAGES),
-        movie_format=tbl(movie_format_rows, schema.MOVIE_FORMAT),
-        crawl_log=tbl(log_rows, schema.CRAWL_LOG),
-        seen_hashes=seen,
-        retry_entities=retry,
-        robots_skipped=robots_skipped,
-        metrics={
-            "requests": n_requests,
-            "fetched": seq,
-            "no_sitelink": no_sitelink,
-            "transient": len(retry),
-            "robots_skipped": len(robots_skipped),
-            "page_counters": page_counters,
-        },
-    )
-
-
-def run_discovery_oracle(corpus_dir: str, entity_wave: int,
-                         host_rate: float = 1e9,
-                         host_burst: float = 1e9,
-                         host_delays: dict | None = None,
-                         max_link_depth: int | None = None) -> OracleResult:
-    """Straight-line mirror of the link-discovery crawl (dynamic frontier).
-
-    The engine's admission schedule is wave-structured: each wave admits
-    ``entity_wave`` seed entities (seen-set first-wins) into the frontier,
-    then repeatedly: one politeness TICK emits up to the per-host token
-    budget in priority order, the emitted pages are fetched, and their
-    in-body /wiki/ links are admitted (rank 99, discovery order) — until
-    the frontier drains, before the next seed wave. Emission scheduling
-    reuses the serial, unit-tested :class:`FrontierShardState` (one shard
-    holds every host — identical per-host budgets to the engine's sharded
-    frontier, which owns each host by exactly one shard). With an ample
-    budget this reduces to plain BFS levels; with a tight budget it yields
-    the exact budgeted schedule (ordered parity, not just coverage).
-    """
-    from wikicrawl.families import DISCOVERED
-    from wikicrawl.state.frontier import FrontierShardState
-
-    wiki = VirtualWiki.load(corpus_dir)
-    seeds = pq.read_table(os.path.join(corpus_dir, "seeds.parquet")).to_pylist()
-    images_in = {
-        r["image_id"]: r
-        for r in pq.read_table(os.path.join(corpus_dir, "images.parquet")).to_pylist()
-    }
-
     owner: dict[str, int] = {}
     for r in seeds:
         q = r["wikidata_id"]
@@ -211,9 +95,142 @@ def run_discovery_oracle(corpus_dir: str, entity_wave: int,
         if row["wikidata_id"] and QID_RE.match(row["wikidata_id"])
         and owner[row["wikidata_id"]] == fam.rank
     ]
+    return wiki, images_in, ordered
 
-    pages_rows, section_rows, image_rows = [], [], []
-    entity_image_rows, movie_format_rows, log_rows = [], [], []
+
+def _result(rows: dict[str, list], seen: set[int], retry: list,
+            robots_skipped: list[str], metrics: dict) -> OracleResult:
+    tables = {}
+    for name, sch in _TABLES.items():
+        cols = {f.name: [r.get(f.name) for r in rows[name]] for f in sch}
+        tables[name] = pa.table(cols, schema=sch) if rows[name] else sch.empty_table()
+    return OracleResult(**tables, seen_hashes=seen, retry_entities=retry,
+                        robots_skipped=robots_skipped, metrics=metrics)
+
+
+def run_oracle(corpus_dir: str) -> OracleResult:
+    wiki, images_in, ordered = _load(corpus_dir)
+    rows: dict[str, list] = {name: [] for name in _TABLES}
+    seen: set[int] = set()
+    retry, robots_skipped = [], []
+    seq = 0
+    n_requests = 0
+    no_sitelink = 0
+    # per-(family, lang) successful-content-page counters (the reference's
+    # strwikipediacrawler<content><lang>count server vars,
+    # wikipedia_page_writer.py:325-333)
+    page_counters: dict[str, int] = {}
+
+    for fam, row in ordered:
+        qid = row["wikidata_id"]
+        links, attempts = wiki.resolve_sitelinks(qid)
+        n_requests += attempts
+        if links is None:
+            retry.append((fam.content, qid))
+            continue
+        for lang in LANGS:
+            title = links.get(lang)
+            if not title:
+                no_sitelink += 1
+                continue
+            url = canonical_page_url(title, lang)
+            if not wiki.robots_allowed(url):
+                robots_skipped.append(url)
+                continue
+            h = url_hash64(url)
+            if h in seen:
+                continue  # first-wins URL-seen (same-URL collision guard)
+            seen.add(h)
+            seq += 1
+            rows["crawl_log"].append(
+                {
+                    "seq": seq,
+                    "canonical_url": url,
+                    "url_hash": h,
+                    "host": host_of(url),
+                    "family": fam.content,
+                    "entity_id": row["entity_id"],
+                    "wikidata_id": qid,
+                    "lang": lang,
+                }
+            )
+            payload = build_payload(wiki, title, lang, fam.needs_image)
+            n_requests += payload["requests"]
+            if payload["success"] and payload["has_content"]:
+                key = f"{fam.content}/{lang}"
+                page_counters[key] = page_counters.get(key, 0) + 1
+            _persist(payload, fam, row, qid, lang, images_in, rows)
+
+    return _result(rows, seen, retry, robots_skipped, {
+        "requests": n_requests,
+        "fetched": seq,
+        "no_sitelink": no_sitelink,
+        "transient": len(retry),
+        "robots_skipped": len(robots_skipped),
+        "page_counters": page_counters,
+    })
+
+
+class _HostQueues:
+    """The reference politeness schedule, one tick at a time. Each host
+    holds a heap keyed ``(family_rank, seed_order, lang_rank, push_seq)``
+    and a token bucket that starts full (``burst``) with the host's
+    ``host_rates`` entry, else the global ``(rate, burst)``. A tick visits
+    the hosts with a backlog in sorted order; each refills
+    ``tokens = min(burst, tokens + rate)`` and pops
+    ``int(min(tokens, backlog))`` entries, which it spends."""
+
+    def __init__(self, rate: float, burst: float, host_rates: dict):
+        self.rate, self.burst = rate, burst
+        self.host_rates = host_rates
+        self.heaps: dict[str, list] = {}
+        self.tokens: dict[str, float] = {}
+        self.pushed = 0
+
+    def push(self, host: str, key: tuple, item) -> None:
+        heapq.heappush(self.heaps.setdefault(host, []),
+                       (*key, self.pushed, item))
+        self.pushed += 1
+
+    def backlog(self) -> int:
+        return sum(len(q) for q in self.heaps.values())
+
+    def tick(self) -> list[tuple]:
+        out = []
+        for host in sorted(self.heaps):
+            q = self.heaps[host]
+            if not q:
+                continue
+            rate, burst = self.host_rates.get(host, (self.rate, self.burst))
+            tokens = min(burst, self.tokens.get(host, burst) + rate)
+            grant = int(min(tokens, len(q)))
+            self.tokens[host] = tokens - grant
+            out.extend(heapq.heappop(q) for _ in range(grant))
+        return out
+
+
+def run_discovery_oracle(corpus_dir: str, entity_wave: int,
+                         host_rate: float = 1e9,
+                         host_burst: float = 1e9,
+                         host_delays: dict | None = None,
+                         max_link_depth: int | None = None) -> OracleResult:
+    """Straight-line mirror of the link-discovery crawl (dynamic frontier).
+
+    The engine's admission schedule is wave-structured: each wave admits
+    ``entity_wave`` seed entities (seen-set first-wins) into the frontier,
+    then repeatedly: one politeness TICK emits up to the per-host token
+    budget in priority order, the emitted pages are fetched, and their
+    in-body /wiki/ links are admitted (rank 99, discovery order) — until
+    the frontier drains, before the next seed wave. Emission is scheduled
+    by :class:`_HostQueues`, this module's own restatement of the per-host
+    politeness rule (the engine's sharded frontier owns each host by
+    exactly one shard, so one queue per host gives the same budgets). A
+    host delay of ``d`` ticks is rate ``1/d``, burst 1. With an ample
+    budget this reduces to plain BFS levels; with a tight budget it yields
+    the exact budgeted schedule (ordered parity, not just coverage).
+    """
+    wiki, images_in, ordered = _load(corpus_dir)
+    rows: dict[str, list] = {name: [] for name in _TABLES}
     seen: set[int] = set()
     retry, robots_skipped = [], []
     seq = 0
@@ -225,7 +242,7 @@ def run_discovery_oracle(corpus_dir: str, entity_wave: int,
     def fetch_one(fam, seed_row, qid, lang, title, url, h):
         nonlocal seq, n_requests
         seq += 1
-        log_rows.append({
+        rows["crawl_log"].append({
             "seq": seq, "canonical_url": url, "url_hash": h,
             "host": host_of(url), "family": fam.content,
             "entity_id": seed_row["entity_id"], "wikidata_id": qid,
@@ -236,9 +253,7 @@ def run_discovery_oracle(corpus_dir: str, entity_wave: int,
         if payload["success"] and payload["has_content"]:
             key = f"{fam.content}/{lang}"
             page_counters[key] = page_counters.get(key, 0) + 1
-        _persist(payload, fam, seed_row, qid, lang, images_in,
-                 pages_rows, section_rows, image_rows,
-                 entity_image_rows, movie_format_rows)
+        _persist(payload, fam, seed_row, qid, lang, images_in, rows)
         return payload
 
     def admit_level(pending):
@@ -266,20 +281,14 @@ def run_discovery_oracle(corpus_dir: str, entity_wave: int,
             out.append((title, lang, url, h, depth))
         return out
 
-    import urllib.parse as _up
-
-    host_rates = {h: (1.0 / max(1.0, float(d)), 1.0)
-                  for h, d in (host_delays or {}).items()}
-    fr = FrontierShardState(0, host_rate, host_burst, host_rates=host_rates)
+    fr = _HostQueues(host_rate, host_burst,
+                     {h: (1.0 / max(1.0, float(d)), 1.0)
+                      for h, d in (host_delays or {}).items()})
 
     def push(fam, seed_row, qid, lang, title, url, h, rank, order, depth=0):
-        fr.push_batch([{
-            "family_rank": rank, "seed_order": order,
-            "lang_rank": LANGS.index(lang) if lang in LANGS else 0,
-            "host": host_of(url), "path": _up.urlparse(url).path,
-            "_fam": fam, "_seed_row": seed_row, "_qid": qid, "lang": lang,
-            "_title": title, "_url": url, "_h": h, "_depth": depth,
-        }])
+        key = (rank, order, LANGS.index(lang) if lang in LANGS else 0)
+        fr.push(host_of(url), key,
+                (fam, seed_row, qid, lang, title, url, h, depth))
 
     for i in range(0, len(ordered), entity_wave):
         wave_rows = ordered[i : i + entity_wave]
@@ -308,18 +317,15 @@ def run_discovery_oracle(corpus_dir: str, entity_wave: int,
         # drain: one politeness tick per iteration, fetch the tick's rows in
         # priority order, admit their links, repeat until the frontier empties
         while fr.backlog() > 0:
-            tick = fr.pop_wave()
+            tick = fr.tick()
             if not tick:
                 continue  # tokens exhausted; next tick accrues the rate
-            tick.sort(key=lambda r: (r["family_rank"], r["seed_order"],
-                                     r["lang_rank"]))
+            tick.sort(key=lambda e: e[:3])
             pending: list[tuple] = []
-            for r in tick:
-                payload = fetch_one(r["_fam"], r["_seed_row"], r["_qid"],
-                                    r["lang"], r["_title"], r["_url"], r["_h"])
+            for *_key, (fam, seed_row, qid, lang, title, url, h, depth) in tick:
+                payload = fetch_one(fam, seed_row, qid, lang, title, url, h)
                 pending.extend(
-                    (t, r["lang"], r["_depth"] + 1)
-                    for t in payload.get("links", ())
+                    (t, lang, depth + 1) for t in payload.get("links", ())
                 )
             admitted = admit_level(pending)
             base = n_discovered - len(admitted)
@@ -328,41 +334,21 @@ def run_discovery_oracle(corpus_dir: str, entity_wave: int,
                 push(DISCOVERED, {"entity_id": lnk_id}, lnk_id, lang, title,
                      url, h, DISCOVERED.rank, base + k, depth)
 
-    def tbl(rows, sch):
-        if not rows:
-            return sch.empty_table()
-        cols = {f.name: [r.get(f.name) for r in rows] for f in sch}
-        return pa.table(cols, schema=sch)
-
-    return OracleResult(
-        pages=tbl(pages_rows, schema.PAGES),
-        sections=tbl(section_rows, schema.SECTIONS),
-        images_out=tbl(image_rows, schema.IMAGES_OUT),
-        entity_images=tbl(entity_image_rows, schema.ENTITY_IMAGES),
-        movie_format=tbl(movie_format_rows, schema.MOVIE_FORMAT),
-        crawl_log=tbl(log_rows, schema.CRAWL_LOG),
-        seen_hashes=seen,
-        retry_entities=retry,
-        robots_skipped=robots_skipped,
-        metrics={
-            "requests": n_requests,
-            "fetched": seq,
-            "no_sitelink": no_sitelink,
-            "transient": len(retry),
-            "robots_skipped": len(robots_skipped),
-            "discovered": n_discovered,
-            "page_counters": page_counters,
-        },
-    )
+    return _result(rows, seen, retry, robots_skipped, {
+        "requests": n_requests,
+        "fetched": seq,
+        "no_sitelink": no_sitelink,
+        "transient": len(retry),
+        "robots_skipped": len(robots_skipped),
+        "discovered": n_discovered,
+        "page_counters": page_counters,
+    })
 
 
-def _persist(
-    payload, fam, seed_row, qid, lang, images_in,
-    pages_rows, section_rows, image_rows, entity_image_rows, movie_format_rows,
-):
+def _persist(payload, fam, seed_row, qid, lang, images_in, rows):
     """Mirror of f_writelangtodb (page_writer.py:193-401), one pass."""
     main = payload["main_image_url"]
-    pages_rows.append(
+    rows["pages"].append(
         {
             "wikidata_id": qid,
             "lang": lang,
@@ -389,6 +375,7 @@ def _persist(
             "image_column": fam.image_column,
             "main_image_url": main,
         }
+        entity_image_rows = rows["entity_images"]
         for i, existing in enumerate(entity_image_rows):
             if (existing["family"], existing["entity_id"]) == (fam.content, row["entity_id"]):
                 entity_image_rows[i] = row
@@ -398,7 +385,7 @@ def _persist(
 
     for item in payload["page_images"]:
         src = images_in.get(item["image_id"]) or {}
-        image_rows.append(
+        rows["images_out"].append(
             {
                 "wikidata_id": qid,
                 "lang": lang,
@@ -426,7 +413,7 @@ def _persist(
             content = content.replace("[edit]", "")
             if len(title) > 300:
                 title = title[:300]
-            section_rows.append(
+            rows["sections"].append(
                 {
                     "wikidata_id": qid,
                     "lang": lang,
@@ -437,7 +424,7 @@ def _persist(
                 }
             )
             if fam.process_id == 201 and lang == "fr" and title == "Fiche technique":
-                movie_format_rows.append(
+                rows["movie_format"].append(
                     {
                         "entity_id": seed_row["entity_id"],
                         "format_line": extract_format_line(content),

@@ -10,8 +10,8 @@ Ray-Data-first (SURVEY §3.4), LSM-shaped writes:
         seen-set admission (sharded bloom/cuckoo/exact actors, first-wins;
         every admission journaled to the admission WAL first)
         ─▶ frontier push/pop as ARROW TABLES, one IPC buffer per shard
-           call (hash(host) shards: priority heaps, per-host token
-           buckets; row dicts only inside actors)
+           call (hash(host) shards: per-host sorted runs, per-host token
+           buckets; rows never become Python dicts)
         ─▶ background wave job: crawl-log segment ─▶ map_batches(fetch
            tasks — one HTML parse: sections+captions+links) ─▶ payload
            DELTA ─▶ discovered links admitted to the frontier at rank 99
@@ -38,7 +38,7 @@ fetches. ``strict_order=True`` reproduces the reference's chunk-serial
 schedule exactly (parity config; with ``discover_links`` it waits each
 wave job so BFS admission stays deterministic); ``strict_order=False``
 overlaps waves (throughput config) while per-host priority order is still
-enforced by the frontier heaps.
+enforced by the frontier's sorted runs.
 """
 
 from __future__ import annotations
@@ -1024,13 +1024,24 @@ def _run_crawl(cfg: CrawlConfig, robots: dict, seen: ShardedSeenSet,
             # fetch_batch is a ceiling on the slice, not a floor
             eff_batch = max(1, min(
                 cfg.fetch_batch, -(-wave_tbl.num_rows // fetch_slots)))
-            for pi, i in enumerate(range(0, wave_tbl.num_rows, eff_batch)):
+            # a slice never splits an entity: its pages share one task and
+            # so one last_crawled_at stamp, which recrawl_stale's
+            # entity-scoped refresh relies on to leave fresh pages alone
+            qids = wave_tbl["wikidata_id"].to_pylist()
+            starts = [0]
+            for i in range(eff_batch, len(qids), eff_batch):
+                while i < len(qids) and qids[i] == qids[i - 1]:
+                    i += 1
+                if starts[-1] < i < len(qids):
+                    starts.append(i)
+            ends = starts[1:] + [len(qids)]
+            for pi, (i, j) in enumerate(zip(starts, ends)):
                 part = (
                     os.path.join(delta, f"part-{pi:05d}.parquet")
                     if cfg.durable_payload else None
                 )
                 refs.append(_fetch_slice_task.options(**_SPREAD).remote(
-                    wave_tbl.slice(i, eff_batch).combine_chunks(),
+                    wave_tbl.slice(i, j - i).combine_chunks(),
                     (sitelinks_ref,), (pages_ref_get(),), part, stage_specs,
                     robots if cfg.discover_links else None,
                     cfg.discover_links,

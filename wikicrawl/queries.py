@@ -8166,6 +8166,8 @@ def q114_setcover_sources(sf_dir: str):
             new = len(sets[src] - covered)
             if new > best_new:
                 best_src, best_new = src, new
+        if best_new <= 0:
+            break  # saturated: the SQL twin emits no row for such a round
         rows.append((rnd, best_src, best_new))
         covered |= sets.get(best_src, set())
     out = pd.DataFrame(rows, columns=["rank", "source", "new_covered"])

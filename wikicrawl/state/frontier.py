@@ -1,10 +1,10 @@
-"""URL frontier: hash(host)-partitioned shard actors with priority heaps,
-per-host politeness token buckets, and a robots.txt cache.
+"""URL frontier: hash(host)-partitioned shard actors, each an Arrow run
+store with per-host politeness token buckets and a robots.txt cache.
 
 Re-expresses the reference's crawl ordering (family precedence + per-family
 ``ORDER BY id ASC`` + en-then-fr submission drain, ``wikipedia_crawler.py``)
-as a priority key ``(family_rank, seed_order, lang_rank)`` inside per-host
-heaps, and its global 20-rps limiter (``wikipedia_http.py:96-122``) as
+as a priority key ``(family_rank, seed_order, lang_rank)`` over per-host
+sorted runs, and its global 20-rps limiter (``wikipedia_http.py:96-122``) as
 PER-HOST token buckets enforced at the shard (partition) level — the
 north_rule politeness model. Time is virtual: one "wave" of the crawl loop
 is one tick; a host yields at most ``burst`` URLs per tick and accrues
@@ -13,13 +13,12 @@ is one tick; a host yields at most ``burst`` URLs per tick and accrues
 Skew handling: a host whose backlog exceeds ``hot_backlog`` can be split into
 sub-queues served round-robin within the host's budget (hot-host clause of
 the north_rule) — the budget stays per-host so politeness is preserved while
-heap operations parallelize.
+run merges parallelize.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict
 
 import pyarrow as pa
 import ray
@@ -53,9 +52,7 @@ class FrontierShardState:
         # per-host (rate, burst) overrides — the robots Crawl-delay analog
         # (a delay of d ticks maps to rate 1/d, burst 1)
         self.host_rates: dict[str, tuple] = dict(host_rates or {})
-        self.heaps: dict[str, list] = defaultdict(list)  # host -> heap
         self.buckets: dict[str, TokenBucket] = {}
-        # vectorized run store (push_table_rows / pop_wave_indices)
         self._tables: dict[int, "pa.Table"] = {}
         self._tbl_remaining: dict[int, int] = {}
         self._next_tid = 0
@@ -66,69 +63,24 @@ class FrontierShardState:
         self.enqueued = 0
         self.emitted = 0
 
-    def _bucket(self, host: str) -> TokenBucket:
+    def _bucket(self, host: str, div: int = 1) -> TokenBucket:
+        """The bucket of ``host``, built on first use. A hot host's
+        sub-queue ``host#k`` is rated by its host; split ``div`` ways, it
+        gets ``rate / div`` and ``max(1, burst / div)``."""
         b = self.buckets.get(host)
         if b is None:
             rate, burst = self.host_rates.get(host.split("#", 1)[0],
                                               (self.rate, self.burst))
+            if div > 1:
+                rate, burst = rate / div, max(1.0, burst / div)
             b = self.buckets[host] = TokenBucket(rate, burst)
         return b
 
-    def push_batch(self, rows: list[dict]) -> int:
-        """rows: dicts with priority fields + host + path (+ payload). Robots
-        is enforced at admission (a denied URL never occupies heap space).
-        Hot-host rows carry ``__bucket_host`` (sub-queue key) and
-        ``__rate_div`` (budget divisor) from the facade."""
-        import urllib.parse
-
-        n = 0
-        for row in rows:
-            host = row["host"]
-            prefixes = self.robots.get(host, ())
-            path = urllib.parse.unquote(row["path"])
-            if any(path.startswith(p) for p in prefixes):
-                self.robots_denied += 1
-                continue
-            bucket_host = row.get("__bucket_host", host)
-            if bucket_host not in self.buckets and "__rate_div" in row:
-                div = max(1, int(row["__rate_div"]))
-                rate, burst = self.host_rates.get(host, (self.rate, self.burst))
-                self.buckets[bucket_host] = TokenBucket(
-                    rate / div, max(1.0, burst / div)
-                )
-            key = (row["family_rank"], row["seed_order"], row["lang_rank"])
-            heapq.heappush(self.heaps[bucket_host], (key, self.enqueued, row))
-            self.enqueued += 1
-            n += 1
-        return n
-
-    def pop_wave(self) -> list[dict]:
-        """One politeness tick: per host, up to token-budget URLs in priority
-        order. Returns emitted rows (priority-sorted within each host)."""
-        out = []
-        for host in sorted(self.heaps):  # deterministic host visit order
-            heap = self.heaps[host]
-            if not heap:
-                continue
-            bucket = self._bucket(host)
-            bucket.tick()
-            grant = bucket.take(len(heap))
-            for _ in range(grant):
-                _key, _seq, row = heapq.heappop(heap)
-                out.append(row)
-            self.emitted += grant
-        return out
-
-    # ---- vectorized Arrow path (the engine's push_table/pop_wave_table) --
     # Rows never become Python dicts: a pushed table is stored ONCE and a
     # per-host sorted-index RUN (one stable lexsort per push) points into
     # it; a politeness tick k-way-merges run heads with integer-tuple heap
-    # ops and emits `table.take(indices)`. Same emission semantics as the
-    # dict heaps (priority key, then push order — lexsort is stable), at a
-    # fraction of the per-row cost: round 3 measured the dict path at ~38
-    # µs/row of driver-blocking actor time (VERDICT r2 'per-row dict
-    # heappush' note). The dict path above remains for the oracle and unit
-    # tests, which carry arbitrary Python payloads per row.
+    # ops and emits `table.take(indices)`. Emission order is the priority
+    # key, then push order (lexsort is stable; runs merge by push sequence).
 
     def push_table_rows(self, tbl: "pa.Table") -> int:
         import urllib.parse
@@ -170,13 +122,8 @@ class FrontierShardState:
             sel = np.flatnonzero(bh == host)
             order = sel[np.lexsort((lr[sel], so[sel], fr[sel]))]
             host = str(host)
-            if divs is not None and "#" in host and host not in self.buckets:
-                div = max(1, int(divs[sel[0]]))
-                rate, burst = self.host_rates.get(
-                    host.split("#", 1)[0], (self.rate, self.burst)
-                )
-                self.buckets[host] = TokenBucket(rate / div,
-                                                 max(1.0, burst / div))
+            if divs is not None and "#" in host:
+                self._bucket(host, int(divs[sel[0]]))
             self._runs.setdefault(host, []).append(
                 [fr, so, lr, order, 0, tid, self._run_seq]
             )
@@ -261,10 +208,7 @@ class FrontierShardState:
         return pa.concat_tables(parts).cast(schema)
 
     def backlog(self) -> int:
-        runs = sum(
-            len(r[3]) - r[4] for rs in self._runs.values() for r in rs
-        )
-        return sum(len(h) for h in self.heaps.values()) + runs
+        return sum(len(r[3]) - r[4] for rs in self._runs.values() for r in rs)
 
     def snapshot(self) -> dict:
         return {
@@ -304,17 +248,11 @@ class FrontierShardActor:
         self.state = FrontierShardState(shard_id, rate, burst, robots_rules,
                                         host_rates)
 
-    def push_batch(self, rows):
-        return self.state.push_batch(rows)
-
     def push_table(self, buf) -> int:
         """Arrow-table push (an IPC buffer): stored once, one stable lexsort
         per host run — rows never become Python dicts (parallel across
         shards, never on the driver thread)."""
         return self.state.push_table_rows(_from_ipc(buf))
-
-    def pop_wave(self):
-        return self.state.pop_wave()
 
     def pop_wave_table(self, schema):
         """One politeness tick as an Arrow IPC buffer (vectorized take), or
@@ -347,7 +285,7 @@ class ShardedFrontier:
 
         A hot host's URLs are spread over ``n_split`` shards by URL hash and
         each sub-queue receives ``rate / n_split`` of the host's politeness
-        budget, so heap operations parallelize while the TOTAL per-host rate
+        budget, so run merges parallelize while the TOTAL per-host rate
         is preserved. Tradeoff (documented): strict per-host priority order
         holds per sub-queue, not across them.
 
@@ -396,20 +334,9 @@ class ShardedFrontier:
         )
         return shard, host_key
 
-    def push_batch(self, rows: list[dict]) -> int:
-        by_shard: dict[int, list] = defaultdict(list)
-        for row in rows:
-            shard, host_key = self._owner(row["host"], int(row.get("url_hash", 0)))
-            n_split = self.hot_hosts.get(row["host"], 1)
-            if n_split > 1:
-                row = dict(row, __bucket_host=host_key, __rate_div=n_split)
-            by_shard[shard].append(row)
-        refs = [self.shards[s].push_batch.remote(rs) for s, rs in by_shard.items()]
-        return sum(ray.get(refs)) if refs else 0
-
     def push_table(self, tbl) -> int:
         """Arrow push path: the driver only routes column slices by host —
-        the per-row dict conversion happens inside the shard actors.
+        storing and sorting them happens inside the shard actors.
 
         Routing is vectorized over the (few) UNIQUE hosts; hot-host
         sub-queues additionally split by url_hash (vectorized mask)."""
@@ -451,17 +378,6 @@ class ShardedFrontier:
             ray.get(self._inflight[: len(self._inflight) - 64])
             del self._inflight[: len(self._inflight) - 64]
         return len(refs)
-
-    def pop_wave(self) -> list[dict]:
-        parts = ray.get([s.pop_wave.remote() for s in self.shards])
-        out = []
-        for p in parts:
-            out.extend(p)
-        # merge shard/host emissions back into global priority order — the
-        # per-host budget was already enforced inside the shards, so this
-        # sort only fixes interleaving, deterministically (parity config).
-        out.sort(key=lambda r: (r["family_rank"], r["seed_order"], r["lang_rank"]))
-        return out
 
     def pop_wave_table(self, schema: "pa.Schema"):
         """One tick as ONE Arrow table in global priority order (vectorized
