@@ -115,39 +115,32 @@ def run_crawl(num_cpus: int) -> dict:
 
     corpus = ensure_corpus(BENCH_ENTITIES)
     # BENCH_OUT_BASE: where crawl output lands (point at /dev/shm to take
-    # the shared disk out of the measurement); BENCH_DURABLE=0: ephemeral
-    # mode (no payload delta) — the two knobs of the disk-isolation
-    # experiment (VERDICT r2 item 1)
+    # the shared disk out of the measurement, VERDICT r2 item 1)
     out_base = os.environ.get("BENCH_OUT_BASE", "/tmp")
     out = f"{out_base}/wikicrawl_bench_out_{num_cpus}"
     shutil.rmtree(out, ignore_errors=True)
     cfg = CrawlConfig(
         corpus_dir=corpus,
         out_dir=out,
-        durable_payload=os.environ.get("BENCH_DURABLE", "1") != "0",
         entity_wave=int(os.environ.get("BENCH_WAVE", "5000")),
         strict_order=False,
         fetch_concurrency=max(2, num_cpus - 1),
         # enough concurrent wave jobs that the ramp's small waves can
         # still fill the machine (3 capped in-flight tasks during ramp)
         write_workers=2 if num_cpus <= 8 else max(3, num_cpus // 8),
-        # staging-file count (and so finalize's small-file read bill) is
-        # ~ entities / fetch_batch x partitions x tables: scale the slice
-        # size with the corpus so file count stays ~constant (measured at
-        # 480k/16cpus: finalize 33.2 s -> 12.4 s with 1024-entity slices;
-        # 256 stays optimal at <=200k where it was tuned)
+        # scale the slice size with the corpus so the fetch-task (and so
+        # delta-part) count stays ~constant; tuned when every task also
+        # wrote its own staging files (480k/16cpus: finalize 33.2 s ->
+        # 12.4 s with 1024-entity slices; 256 optimal at <=200k)
         fetch_batch=int(os.environ.get(
             "BENCH_FETCH_BATCH",
             str(min(2048, max(256, BENCH_ENTITIES // 500))))),
         resolve_concurrency=max(2, num_cpus // 4),
-        # BENCH_COMPACT=<N>: LSM staging compaction threshold (0 disables)
-        staging_compact_files=int(os.environ.get(
-            "BENCH_COMPACT", CrawlConfig.staging_compact_files)),
         n_frontier_shards=4,
         n_seen_shards=4,
         # 16 measured better than 32 at both cpu levels: finalize is NOT
         # merge-task-parallelism-bound, and more partitions means more
-        # staging files per fetch task (tasks x tables x partitions)
+        # staging files per stager batch (tables x partitions)
         n_table_partitions=int(os.environ.get("BENCH_PARTITIONS", "16")),
     )
     calib = None
@@ -311,12 +304,10 @@ def main() -> None:
                     # shared virtio /tmp disk degrades 2-3x independent
                     # of CPU and is one device shared by 4 and 16 cpus
                     # alike — on a real N->4N cluster disks scale with
-                    # nodes); durability-off isolates the engine from
-                    # fsync (the round-2-blessed controlled experiment);
-                    # wave/batch sized for the 120k-entity corpus.
+                    # nodes); wave/batch sized for the 120k-entity
+                    # corpus.
                     BENCH_WAVE=os.environ.get("BENCH_WAVE", "20000"),
                     BENCH_OUT_BASE=os.environ.get("BENCH_OUT_BASE", "/dev/shm"),
-                    BENCH_DURABLE=os.environ.get("BENCH_DURABLE", "0"),
                     BENCH_FETCH_BATCH=os.environ.get("BENCH_FETCH_BATCH", "1024"),
                 )
                 res = subprocess.run(

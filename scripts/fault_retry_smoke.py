@@ -5,9 +5,10 @@ BEFORE any side effect — a hard worker crash, the failure mode Ray's
 default task retry handles transparently. The crawl must still finish
 and its tables, crawl order and URL-seen set must be value-identical to
 the straight-line oracle, because every fetch-task side effect is
-idempotent by construction: staging files are content-hash-named and
-atomically renamed, counters ride on the (single successful) task
-return, and the admission WAL journals before the frontier push.
+idempotent by construction: the task's one file, its payload delta
+part, has a fixed name and is atomically renamed, counters ride on the
+(single successful) task return, and the admission WAL journals before
+the frontier push.
 
 Run directly or via tests/test_fault_retry.py (subprocess — the env var
 must be set before the Ray workers fork). Prints ONE JSON line.

@@ -56,8 +56,7 @@ def run_crawl(tag: str) -> dict:
     out = f"/dev/shm/wikicrawl_twonode_bench_{tag}"
     shutil.rmtree(out, ignore_errors=True)
     cfg = CrawlConfig(
-        corpus_dir=corpus, out_dir=out, durable_payload=False,
-        entity_wave=10000, strict_order=False, fetch_concurrency=7,
+        corpus_dir=corpus, out_dir=out, entity_wave=10000, strict_order=False, fetch_concurrency=7,
         write_workers=2, fetch_batch=512, resolve_concurrency=2,
         n_frontier_shards=4, n_seen_shards=4, n_table_partitions=16,
     )

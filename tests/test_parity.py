@@ -246,27 +246,18 @@ def test_crawl_order_parity_forced_distributed_ownership(
     shutil.rmtree(out2, ignore_errors=True)
 
 
-def test_ephemeral_mode_same_output_tables(corpus, oracle_result, ray_session):
-    """durable_payload=False skips the payload delta entirely; the five
-    output tables and the crawl metrics must be identical to the durable
-    run (staging IS the data path; the delta is durability only)."""
+def test_ephemeral_mode_rejected(corpus):
+    """Finalize stages the output tables from the payload deltas, so the
+    removed ephemeral mode (durable_payload=False) is refused up front,
+    before any output directory is touched."""
     import shutil
 
     out2 = OUT + "_ephemeral"
     shutil.rmtree(out2, ignore_errors=True)
-    res = crawl(CrawlConfig(corpus_dir=corpus, out_dir=out2, entity_wave=64,
-                            strict_order=True, durable_payload=False))
-    assert not os.listdir(os.path.join(out2, "payload"))  # no deltas
-    a = norm(res.tables["pages"].read_all(), ["wikidata_id", "lang"])
-    b = norm(oracle_result.pages, ["wikidata_id", "lang"])
-    assert_frames_equal(a, b, "pages-ephemeral")
-    a = norm(res.tables["sections"].read_all(),
-             ["wikidata_id", "lang", "display_order"])
-    b = norm(oracle_result.sections, ["wikidata_id", "lang", "display_order"])
-    assert_frames_equal(a, b, "sections-ephemeral")
-    assert res.metrics["requests"] == oracle_result.metrics["requests"]
-    assert res.metrics["page_counters"] == oracle_result.metrics["page_counters"]
-    shutil.rmtree(out2, ignore_errors=True)
+    with pytest.raises(ValueError, match="ephemeral mode was removed"):
+        crawl(CrawlConfig(corpus_dir=corpus, out_dir=out2,
+                          durable_payload=False))
+    assert not os.path.exists(out2)
 
 
 def test_no_naked_np_round():

@@ -1,17 +1,21 @@
-"""LSM-style staging compaction (CrawlConfig.staging_compact_files):
-value parity with compaction forced aggressive, and the crash-window
-safety property the design leans on — duplicated staged rows (a run AND
-its original files both present) collapse in merge_partition's stable
-crawl-order dedup."""
+"""Staging happens once, at finalize: fetch tasks write only their
+payload delta part, and finalize's stager tasks derive the five output
+tables from all committed deltas in a few batches. Covers the file-count
+bound, the halt/resume and corrupt-delta exits, and merge_partition's
+collapse of duplicated staged rows."""
 
+import glob
 import os
 import shutil
+import time
 
 import pandas as pd
 import pyarrow.parquet as pq
+import pytest
 
-from wikicrawl.oracle import run_oracle
-from wikicrawl.pipelines.crawl import CrawlConfig, crawl
+from wikicrawl.oracle import run_discovery_oracle, run_oracle
+from wikicrawl.pipelines import crawl as crawl_mod
+from wikicrawl.pipelines.crawl import CrawlConfig, crawl, read_crawl_log
 from wikicrawl.synth import generate
 
 CORPUS = "/tmp/wikicrawl_test_corpus_compact"
@@ -27,28 +31,14 @@ def norm(tbl, sort_keys):
     return df.sort_values(sort_keys).reset_index(drop=True)
 
 
-def test_compaction_golden_parity(ray_session):
-    """threshold=2 forces a compaction on nearly every wave tick; the five
-    output tables must stay value-identical to the straight-line oracle,
-    and runs must actually have been produced. Small waves (many ticks):
-    compaction fires DURING the crawl only — finalize drains in-flight runs
-    but launches none (folding a dir the merge is about to read is strictly
-    extra work; measured as a serial pre-merge stall at 960k/16 cpus)."""
-    generate(CORPUS, n_entities=120, seed=42)
-    shutil.rmtree(OUT, ignore_errors=True)
-    res = crawl(CrawlConfig(
-        corpus_dir=CORPUS, out_dir=OUT, entity_wave=12, strict_order=True,
-        staging_compact_files=2))
-    assert res.metrics.get("staging_compacted_files", 0) > 0
-    want = run_oracle(CORPUS)
-    for name, keys, oracle_df in [
-        ("pages", ["wikidata_id", "lang"], want.pages),
-        ("sections", ["wikidata_id", "lang", "display_order"], want.sections),
-        ("images_out", ["wikidata_id", "lang", "display_order"],
-         want.images_out),
-    ]:
-        a = norm(res.tables[name].read_all(), keys)
-        b = norm(oracle_df, keys)
+def assert_tables_match_oracle(tables, want, names=("pages", "sections",
+                                                    "images_out")):
+    keys = {"pages": ["wikidata_id", "lang"],
+            "sections": ["wikidata_id", "lang", "display_order"],
+            "images_out": ["wikidata_id", "lang", "display_order"]}
+    for name in names:
+        a = norm(tables[name].read_all(), keys[name])
+        b = norm(getattr(want, name), keys[name])
         assert list(a.columns) == list(b.columns), name
         assert len(a) == len(b), name
         for c in a.columns:
@@ -57,13 +47,129 @@ def test_compaction_golden_parity(ray_session):
                 assert (av.fillna("\x00") == bv.fillna("\x00")).all(), (name, c)
             else:
                 assert av.equals(bv), (name, c)
+
+
+def staging_files(out):
+    return sorted(glob.glob(os.path.join(out, "*", "staging", "**", "*.parquet"),
+                            recursive=True))
+
+
+def delta_parts(out):
+    return glob.glob(os.path.join(out, "payload", "wave-*", "part-*.parquet"))
+
+
+def test_staging_files_bounded_by_stager_batches(ray_session, monkeypatch):
+    """A many-tick strict crawl (one fetch job per 12 entities) stages at
+    finalize only: no staging/p=* dir holds more files than there were
+    stager batches, far fewer than the fetch tasks, and the output keeps
+    golden parity."""
+    generate(CORPUS, n_entities=120, seed=42)
+    shutil.rmtree(OUT, ignore_errors=True)
+    seen = {}
+    real_merge = crawl_mod._merge_staged
+
+    def counting_merge(tables, images_arg, clock):
+        seen["parts"] = len(delta_parts(OUT))
+        seen["per_dir"] = [
+            len(os.listdir(d))
+            for d in glob.glob(os.path.join(OUT, "*", "staging", "p=*"))]
+        return real_merge(tables, images_arg, clock)
+
+    monkeypatch.setattr(crawl_mod, "_merge_staged", counting_merge)
+    res = crawl(CrawlConfig(corpus_dir=CORPUS, out_dir=OUT, entity_wave=12,
+                            strict_order=True))
+    batches = res.metrics.get("staging_batches", 0)
+    assert seen["per_dir"] and max(seen["per_dir"]) <= batches
+    assert seen["parts"] > 4 * batches  # the bound is not trivially met
+    assert_tables_match_oracle(res.tables, run_oracle(CORPUS))
     shutil.rmtree(OUT, ignore_errors=True)
 
 
+def test_stager_splits_share_at_batch_rows(ray_session, monkeypatch):
+    """A stager stages its share in batches of at most STAGE_BATCH_ROWS
+    payload rows, whole parts each: every staging dir holds at most one
+    file per batch and every payload row is staged once."""
+    generate(CORPUS, n_entities=120, seed=42)
+    shutil.rmtree(OUT, ignore_errors=True)
+    crawl(CrawlConfig(corpus_dir=CORPUS, out_dir=OUT, entity_wave=24,
+                      strict_order=True, halt_after_waves=3))
+    parts = sorted(delta_parts(OUT))
+    rows = [pq.ParquetFile(f).metadata.num_rows for f in parts]
+    limit = max(rows) + 1
+    want_batches, acc = 1, 0
+    for r in rows:
+        if acc and acc + r > limit:
+            want_batches, acc = want_batches + 1, 0
+        acc += r
+    assert want_batches > 1
+    monkeypatch.setattr(crawl_mod, "STAGE_BATCH_ROWS", limit)
+    tables = crawl_mod.open_tables(OUT, 8)
+    specs = {name: (os.path.join(t.path, "staging"), t.key, t.n_partitions)
+             for name, t in tables.items()}
+    assert crawl_mod._stage_deltas_task._function(parts, specs) == want_batches
+    per_dir = [len(os.listdir(d))
+               for d in glob.glob(os.path.join(OUT, "*", "staging", "p=*"))]
+    assert per_dir and max(per_dir) <= want_batches
+    staged_pages = glob.glob(os.path.join(OUT, "pages", "staging", "*", "*"))
+    assert sum(pq.ParquetFile(f).metadata.num_rows
+               for f in staged_pages) == sum(rows)
+    shutil.rmtree(OUT, ignore_errors=True)
+
+
+def test_halted_crawl_leaves_only_deltas(ray_session):
+    """A halted strict discovery crawl has written its payload delta parts
+    and no staging file at all; resuming it stages every committed delta
+    and matches the discovery oracle (crawl order and tables)."""
+    corpus = "/tmp/wikicrawl_test_corpus_stage_halt"
+    out = "/tmp/wikicrawl_test_crawl_stage_halt"
+    generate(corpus, n_entities=120, seed=7)
+    shutil.rmtree(out, ignore_errors=True)
+    base = dict(corpus_dir=corpus, out_dir=out, entity_wave=24,
+                strict_order=True, discover_links=True)
+    crawl(CrawlConfig(**base, halt_after_waves=2))
+    assert delta_parts(out)
+    assert staging_files(out) == []
+    res = crawl(CrawlConfig(**base, resume=True))
+    want = run_discovery_oracle(corpus, entity_wave=24)
+    log = read_crawl_log(out).to_pandas()
+    wlog = want.crawl_log.to_pandas()
+    assert len(log) == len(wlog)
+    assert (log.canonical_url.to_numpy() == wlog.canonical_url.to_numpy()).all()
+    assert (log.seq.to_numpy() == wlog.seq.to_numpy()).all()
+    assert_tables_match_oracle(res.tables, want, ("pages", "sections"))
+    shutil.rmtree(out, ignore_errors=True)
+    shutil.rmtree(corpus, ignore_errors=True)
+
+
+def test_corrupt_delta_fails_without_stray_stagers(ray_session):
+    """A truncated committed delta part makes the resumed crawl raise at
+    finalize, and no stager outlives crawl(): the staging file set is the
+    same 2 s after the raise."""
+    corpus = "/tmp/wikicrawl_test_corpus_stage_corrupt"
+    out = "/tmp/wikicrawl_test_crawl_stage_corrupt"
+    generate(corpus, n_entities=160, seed=5)
+    shutil.rmtree(out, ignore_errors=True)
+    base = dict(corpus_dir=corpus, out_dir=out, entity_wave=16,
+                strict_order=True)
+    crawl(CrawlConfig(**base, halt_after_waves=3))
+    victim = sorted(delta_parts(out))[0]
+    with open(victim, "r+b") as f:
+        f.truncate(os.path.getsize(victim) // 2)
+    with pytest.raises(Exception, match="[Pp]arquet"):
+        crawl(CrawlConfig(**base, resume=True))
+    before = staging_files(out)
+    assert before  # the other stagers ran to completion before the raise
+    time.sleep(2)
+    assert staging_files(out) == before
+    shutil.rmtree(out, ignore_errors=True)
+    shutil.rmtree(corpus, ignore_errors=True)
+
+
 def test_duplicate_staged_rows_collapse(ray_session):
-    """The crash window leaves BOTH a compact-* run and its original
-    files: merging that state must equal merging the originals alone
-    (identical (key, _seq) rows collapse; counters unaffected)."""
+    """A partition whose staging holds the same rows twice (every file
+    plus one file duplicating them all) must merge exactly as the files
+    alone: identical (key, _seq) rows collapse in merge_partition's
+    crawl-order dedup; counters unaffected."""
     import numpy as np
     import pyarrow as pa
 
@@ -117,85 +223,3 @@ def test_duplicate_staged_rows_collapse(ray_session):
     pd.testing.assert_frame_equal(a, b)
     shutil.rmtree("/tmp/wikicrawl_compact_ref", ignore_errors=True)
     shutil.rmtree("/tmp/wikicrawl_compact_dup", ignore_errors=True)
-
-
-def test_compaction_with_crash_sim_resume(ray_session):
-    """Compaction + halt_after_waves + resume IN THE SAME Ray session
-    (ADVICE r4 medium): the crash-sim return must not leave stale
-    compactor tasks that later os.remove staging originals between the
-    resumed finalize's listdir and its reads. crawl() now drains
-    in-flight compactors before the simulated-crash return and the merge
-    task re-lists on a vanished file; this pins golden parity for the
-    whole interleaving."""
-    corpus = "/tmp/wikicrawl_test_corpus_compact_crash"
-    out = "/tmp/wikicrawl_test_crawl_compact_crash"
-    generate(corpus, n_entities=160, seed=7)
-    shutil.rmtree(out, ignore_errors=True)
-    base = dict(corpus_dir=corpus, out_dir=out, entity_wave=24,
-                strict_order=True, staging_compact_files=2)
-    crawl(CrawlConfig(**base, halt_after_waves=2))   # simulated crash
-    res = crawl(CrawlConfig(**base, resume=True))    # same Ray session
-    want = run_oracle(corpus)
-    for name, keys, oracle_df in [
-        ("pages", ["wikidata_id", "lang"], want.pages),
-        ("sections", ["wikidata_id", "lang", "display_order"],
-         want.sections),
-        ("images_out", ["wikidata_id", "lang", "display_order"],
-         want.images_out),
-    ]:
-        a = norm(res.tables[name].read_all(), keys)
-        b = norm(oracle_df, keys)
-        assert len(a) == len(b), name
-        for c in a.columns:
-            av, bv = a[c], b[c]
-            if av.dtype == object:
-                assert (av.fillna("\x00") == bv.fillna("\x00")).all(), (
-                    name, c)
-            else:
-                assert av.equals(bv), (name, c)
-    shutil.rmtree(out, ignore_errors=True)
-    shutil.rmtree(corpus, ignore_errors=True)
-
-
-def test_auto_compaction_triggers_without_knob(ray_session):
-    """Compaction is on by default (VERDICT r4 #6): a regime whose
-    per-partition staging-file count crosses staging_compact_files must
-    compact during the crawl, finalize stays merge-only over the folded
-    runs, and the output keeps golden parity. (The threshold is lowered
-    here so a unit-scale crawl reproduces the 480k/fetch_batch=256
-    file-count pressure; the default 128 is sized to the measured
-    ~2 ms/file finalize budget.)"""
-    corpus = "/tmp/wikicrawl_test_corpus_autocompact"
-    out = "/tmp/wikicrawl_test_crawl_autocompact"
-    generate(corpus, n_entities=160, seed=3)
-    shutil.rmtree(out, ignore_errors=True)
-    res = crawl(CrawlConfig(
-        corpus_dir=corpus, out_dir=out, entity_wave=16, strict_order=True,
-        staging_compact_files=3))
-    assert res.metrics.get("staging_compacted_files", 0) > 0
-    want = run_oracle(corpus)
-    a = norm(res.tables["pages"].read_all(), ["wikidata_id", "lang"])
-    b = norm(want.pages, ["wikidata_id", "lang"])
-    assert len(a) == len(b)
-    for c in a.columns:
-        av, bv = a[c], b[c]
-        if av.dtype == object:
-            assert (av.fillna("\x00") == bv.fillna("\x00")).all(), c
-        else:
-            assert av.equals(bv), c
-    shutil.rmtree(out, ignore_errors=True)
-    shutil.rmtree(corpus, ignore_errors=True)
-
-
-def test_compaction_disabled_with_zero(ray_session):
-    """staging_compact_files=0 disables compaction entirely."""
-    corpus = "/tmp/wikicrawl_test_corpus_nocompact"
-    out = "/tmp/wikicrawl_test_crawl_nocompact"
-    generate(corpus, n_entities=80, seed=4)
-    shutil.rmtree(out, ignore_errors=True)
-    res = crawl(CrawlConfig(
-        corpus_dir=corpus, out_dir=out, entity_wave=16, strict_order=True,
-        staging_compact_files=0))
-    assert res.metrics.get("staging_compacted_files", 0) == 0
-    shutil.rmtree(out, ignore_errors=True)
-    shutil.rmtree(corpus, ignore_errors=True)

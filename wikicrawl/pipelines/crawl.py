@@ -12,16 +12,19 @@ Ray-Data-first (SURVEY §3.4), LSM-shaped writes:
         ─▶ frontier push/pop as ARROW TABLES, one IPC buffer per shard
            call (hash(host) shards: per-host sorted runs, per-host token
            buckets; rows never become Python dicts)
-        ─▶ background wave job: crawl-log segment ─▶ map_batches(fetch
-           tasks — one HTML parse: sections+captions+links) ─▶ payload
-           DELTA ─▶ discovered links admitted to the frontier at rank 99
-           (``discover_links``) ─▶ delta staged into every output table's
-           partition buckets
+        ─▶ background wave job: crawl-log segment ─▶ fetch tasks (one
+           HTML parse: sections+captions+links) ─▶ payload DELTA, one
+           part per task and nothing else ─▶ discovered links admitted to
+           the frontier at rank 99 (``discover_links``)
         ─▶ checkpoint manifest commits FIFO after the wave's job
-    ─▶ finalize: merges only — one Ray task per staged (table, partition);
-       image BYTES attach at this single write (broadcast ref below the
-       size limit; above it, co-partitioned straight from images.parquet
-       to the output partitions by pipelines/bytes_shuffle.py).
+    ─▶ finalize, for fresh and resumed runs alike: one stager task per
+       fetch slot derives the five output tables from a contiguous share
+       of the committed deltas, a bounded batch at a time, into every
+       table's partition staging; then one merge task per staged (table,
+       partition). Image BYTES attach at this single write (broadcast ref
+       below the size limit; above it, co-partitioned straight from
+       images.parquet to the output partitions by
+       pipelines/bytes_shuffle.py).
 
 State plane lifetime: the seen-set and frontier shard actors live for the
 Ray session. Each crawl leases the idle pair, reset in place to this
@@ -29,7 +32,7 @@ crawl's arguments (a new pair only when none matches), and hands it back
 emptied after its last call, or kills it if the crawl failed
 (state/placement.py).
 
-Scale notes: per-wave cost is O(wave), compaction is O(total) once; the
+Scale notes: per-wave cost is O(wave), staging + merges are O(total) once; the
 entity stream never materializes as a driver list; bytes move from their
 source to disk exactly once; no all-to-all exchange anywhere in the write
 path. Resume = last committed manifest + seen segments + admission-WAL
@@ -91,7 +94,7 @@ class CrawlConfig:
     fetch_batch: int = 64
     resolve_concurrency: int = 2
     strict_order: bool = True  # parity schedule (reference chunk-serial)
-    write_workers: int = 2  # concurrent background wave jobs (fetch+stage)
+    write_workers: int = 2  # concurrent background wave jobs (fetch+delta)
     discover_links: bool = False  # dynamic frontier: in-body /wiki/ links
     # feed the frontier at rank 99 (BFS tier) after canonicalize + robots +
     # seen-set first-wins admission (north_star link discovery)
@@ -119,27 +122,9 @@ class CrawlConfig:
     max_link_depth: int | None = None  # BFS depth budget for discovery:
     # seeds are depth 0; links inherit parent depth + 1 and are dropped
     # beyond this depth at admission (None = unbounded)
-    staging_compact_files: int = 128  # LSM-style tiered staging
-    # compaction DURING the crawl: when a partition's staging dir holds
-    # >= this many un-compacted files, a background Ray task folds them
-    # into one `compact-*` run (each row rewritten at most once — runs
-    # are never re-compacted). Bounds finalize's small-file read bill at
-    # unbounded wave counts (the 480k lesson: ~2 ms/file open cost made
-    # finalize the scaling ceiling). Crash/replay-safe BY CONSTRUCTION:
-    # any interleaving leaves either the run, the originals, or both —
-    # duplicate rows carry identical (key, _seq) and collapse in
-    # merge_partition's stable crawl-order dedup. 0 disables. The default
-    # 128 x ~2 ms/file keeps each finalize merge's small-file bill under
-    # ~0.3 s/partition while staying above the per-dir file count of the
-    # tuned 120k bench regime (~117 = entities/fetch_batch tasks), which
-    # therefore never pays a rewrite; the 480k/fetch_batch=256 regime
-    # (~1900 files/dir untreated) arms it.
-    durable_payload: bool = True  # False = ephemeral mode: the nested
-    # payload delta is NOT persisted (staging, crawl log, seen segments and
-    # manifests still are — the five OUTPUT tables are identical). Halves
-    # the bytes written per wave; resume and link discovery need the delta,
-    # so both require durable_payload=True (validated at crawl start).
-    # Used by the scaling bench to isolate the shared-disk term.
+    durable_payload: bool = True  # must stay True: finalize stages the
+    # output tables from the payload deltas, so the ephemeral mode that
+    # skipped them is gone and False raises ValueError
 
 
 @dataclass
@@ -171,19 +156,18 @@ def _read_row_groups(path: str, groups: list) -> pa.Table:
 
 @ray.remote
 def _fetch_slice_task(slice_tbl: pa.Table, sitelinks_ref_t, pages_ref_t,
-                      delta_part: str | None, stage_specs: dict,
-                      robots, discover: bool):
+                      delta_part: str, robots, discover: bool):
     """ONE fused task per wave slice: fetch+extract against the
-    worker-global corpus cache, link-candidate derivation, staging writes
-    for all five output tables, the delta part write (skipped in ephemeral
-    mode), and the wave counters returned to the driver. The bodies are
-    the same batch functions the map_batches form uses — fusing them into
-    a raw task removed the per-wave streaming-executor setup (serial
-    from_arrow puts + executor overhead), a measured per-wave fixed cost
-    that did not scale (round 3). Counter totals replace the round-2
-    delta read-back. (A per-wave plasma consolidation of the derived
-    tables was tried and REVERTED: routing the derived corpus through the
-    object store cost more than the small staging files it saved.)"""
+    worker-global corpus cache, link-candidate derivation, the delta part
+    write, and the wave counters returned to the driver. That part is the
+    task's one file: the five output tables are derived from the committed
+    deltas at finalize (_stage_deltas_task), a few large batches per
+    crawl, so a tick pays no per-(table, partition) staging write.
+    The bodies are the same batch functions the map_batches form uses —
+    fusing them into a raw task removed the per-wave streaming-executor
+    setup (serial from_arrow puts + executor overhead), a measured
+    per-wave fixed cost that did not scale (round 3). Counter totals
+    replace the round-2 delta read-back."""
     import collections
     import time as _t
 
@@ -195,9 +179,9 @@ def _fetch_slice_task(slice_tbl: pa.Table, sitelinks_ref_t, pages_ref_t,
 
     # fault-injection hook (tests only): the FIRST task to claim the
     # marker dies as a hard worker crash BEFORE any side effect; Ray's
-    # default task retry re-executes it, and the staging writes are
-    # idempotent (content-hash filenames + atomic rename), so the retried
-    # run must be value-identical — asserted by scripts/fault_retry_smoke
+    # default task retry re-executes it, and the delta part write is
+    # idempotent (fixed name + atomic rename), so the retried run must be
+    # value-identical — asserted by scripts/fault_retry_smoke
     fault_dir = os.environ.get("WIKICRAWL_FAULT_ONCE_DIR")
     if fault_dir:
         try:
@@ -221,10 +205,8 @@ def _fetch_slice_task(slice_tbl: pa.Table, sitelinks_ref_t, pages_ref_t,
     cnt = collections.Counter(
         zip(ok["family"].to_pylist(), ok["lang"].to_pylist())
     )
-    _stage_payload(payload, stage_specs)
-    if delta_part is not None:
-        pq.write_table(payload, delta_part + ".tmp")
-        os.replace(delta_part + ".tmp", delta_part)
+    pq.write_table(payload, delta_part + ".tmp")
+    os.replace(delta_part + ".tmp", delta_part)
     return (
         payload.num_rows,
         int(pc.sum(payload["requests"]).as_py() or 0),
@@ -380,40 +362,6 @@ def _write_staging_files(t: pa.Table, staging: str, key: list[str],
 
 
 @ray.remote
-def _compact_staging_dir(pdir: str, snapshot: tuple) -> int:
-    """Fold one snapshot of small staging files into a single `compact-*`
-    run (tiered: runs are excluded from future snapshots, so every row is
-    rewritten at most once). Value-safe under ANY crash/replay
-    interleaving — see CrawlConfig.staging_compact_files."""
-    import hashlib as _hashlib
-
-    try:
-        files = [os.path.join(pdir, f) for f in snapshot]
-        files = [f for f in files if os.path.exists(f)]
-        if len(files) < 2:
-            return 0
-        t = pa.concat_tables([read_staging_file(f) for f in files]).combine_chunks()
-        h = _hashlib.blake2b("|".join(sorted(snapshot)).encode(),
-                             digest_size=10).hexdigest()
-        out = os.path.join(pdir, f"compact-{h}.parquet")
-        tmp = out + ".tmp"
-        pq.write_table(t, tmp)
-        os.replace(tmp, out)
-        for f in files:
-            if os.path.basename(f).startswith("compact-"):
-                continue
-            try:
-                os.remove(f)
-            except OSError:
-                pass
-        return len(files)
-    except OSError:
-        # the dir can vanish under a stale task after a crash-simulated
-        # restart cleared staging — a no-op, never an error
-        return 0
-
-
-@ray.remote
 def _merge_partition_task(name: str, path: str, base_schema: pa.Schema,
                           key: list[str], nparts: int, prune, order_col: str,
                           p: int, clock: int,
@@ -428,29 +376,20 @@ def _merge_partition_task(name: str, path: str, base_schema: pa.Schema,
     — the images binary payload is attached HERE, at the final write:
     staging files carry only the (small) refs, so bytes move from their
     source to disk exactly once."""
+    # every stager has been joined before any merge task starts, so the
+    # staging dir is final: one listing is a consistent snapshot
     pdir = os.path.join(path, "staging", f"p={p:05d}")
-    # a staging compactor (_compact_staging_dir) may fold originals into a
-    # compact-* run between this task's listdir and its reads; the fold is
-    # value-preserving, so on a vanished file simply re-list and re-read —
-    # any consistent snapshot of the dir carries the same rows (ADVICE r4)
-    for _attempt in range(8):
-        files = sorted(
-            os.path.join(pdir, f) for f in os.listdir(pdir)
-            if f.endswith(".parquet")
-        )
-        if not files:
-            return name, {"inserted": 0, "updated": 0, "deleted": 0}
-        try:
-            parts = [read_staging_file(f) for f in files]
-            break
-        except (FileNotFoundError, pa.ArrowInvalid):
-            continue
-    else:
-        parts = [read_staging_file(f) for f in files]  # surface the real error
-    # combine: Arrow `take` on a column with thousands of chunks (one per
-    # staging file) degrades to per-element chunk search — one compaction
-    # copy here makes every downstream kernel O(1) per element
-    chunk = pa.concat_tables(parts).combine_chunks()
+    files = sorted(
+        os.path.join(pdir, f) for f in os.listdir(pdir)
+        if f.endswith(".parquet")
+    )
+    if not files:
+        return name, {"inserted": 0, "updated": 0, "deleted": 0}
+    # combine: Arrow `take` on a column with many chunks (one per staging
+    # file) degrades to per-element chunk search — one compaction copy
+    # here makes every downstream kernel O(1) per element
+    chunk = pa.concat_tables(
+        [read_staging_file(f) for f in files]).combine_chunks()
     if images_arg is not None:
         if images_arg[0] == "parts":
             # finalize-phase co-partitioned bytes (bytes_shuffle.py): this
@@ -517,10 +456,30 @@ def _stage_payload(payload: pa.Table, specs: dict) -> None:
             _write_staging_files(derived, *specs[name])
 
 
+# Payload rows a finalize stager concatenates for one _stage_payload call.
+# A batch writes at most one staging file per (table, partition), and a
+# stager holds one batch at a time, so its memory is bounded at any crawl
+# size while the file count stays a few per partition.
+STAGE_BATCH_ROWS = 4096
+
+
 @ray.remote
-def _restage_delta(path: str, specs: dict) -> None:
-    """Stage one durable payload delta part (finalize of a resumed run)."""
-    _stage_payload(pq.read_table(path), specs)
+def _stage_deltas_task(parts: list[str], specs: dict) -> int:
+    """Stage a contiguous, crawl-ordered share of the committed payload
+    delta parts, up to ``STAGE_BATCH_ROWS`` rows per ``_stage_payload``
+    call. Returns the number of batches staged."""
+    batch, rows, n_batches = [], 0, 0
+    for part in parts:
+        t = read_staging_file(part)
+        if batch and rows + t.num_rows > STAGE_BATCH_ROWS:
+            _stage_payload(pa.concat_tables(batch), specs)
+            batch, rows, n_batches = [], 0, n_batches + 1
+        batch.append(t)
+        rows += t.num_rows
+    if batch:
+        _stage_payload(pa.concat_tables(batch), specs)
+        n_batches += 1
+    return n_batches
 
 
 # run-scoped state: deltas, logs, manifests and journals belong to one run
@@ -597,10 +556,10 @@ def crawl(cfg: CrawlConfig) -> CrawlResult:
     """Run one crawl on a state plane leased for it (state/placement.py)."""
     import json
 
-    if not cfg.durable_payload and (cfg.discover_links or cfg.resume):
+    if not cfg.durable_payload:
         raise ValueError(
-            "durable_payload=False (ephemeral mode) is incompatible with "
-            "discover_links/resume: both replay from the payload delta"
+            "durable_payload=False: ephemeral mode was removed — finalize "
+            "stages the output tables from the payload deltas"
         )
     with open(os.path.join(cfg.corpus_dir, "meta.json")) as f:
         robots = json.load(f)["robots_disallow"]
@@ -622,7 +581,7 @@ def crawl(cfg: CrawlConfig) -> CrawlResult:
         return result
     finally:
         # _run_crawl's own exit has joined its writers, commits and
-        # compactors, so no call can reach the pair after this; a pair
+        # stagers, so no call can reach the pair after this; a pair
         # whose crawl failed is killed here, never handed back
         release_state_plane(seen, frontier, finished)
 
@@ -653,7 +612,7 @@ def _run_crawl(cfg: CrawlConfig, robots: dict, seen: ShardedSeenSet,
     _reset_dirs(staging for staging, _, _ in stage_specs.values())
     # fetch tasks of one wave that can run at once: slicing a wave finer
     # than the cluster has CPUs runs the slices one after another and only
-    # adds each task's fixed cost (a staging file per table and partition)
+    # adds each task's fixed cost; finalize runs one stager per slot too
     fetch_slots = max(1, min(cfg.fetch_concurrency,
                              int(ray.cluster_resources().get("CPU", 1))))
     log_dir = os.path.join(cfg.out_dir, "crawl_log")
@@ -750,12 +709,6 @@ def _run_crawl(cfg: CrawlConfig, robots: dict, seen: ShardedSeenSet,
                 if pend.num_rows:
                     frontier.push_table(pend)
             shutil.rmtree(probe_dir, ignore_errors=True)
-        # staging was cleared above, so every surviving delta must be
-        # re-staged at finalize: drop the per-delta staging markers
-        for name in os.listdir(payload_dir):
-            marker = os.path.join(payload_dir, name, "_staged")
-            if os.path.exists(marker):
-                os.remove(marker)
         # drop any payload deltas beyond the last committed wave (an
         # interrupted wave replays into a fresh, consistent delta)
         for name in os.listdir(payload_dir):
@@ -913,33 +866,9 @@ def _run_crawl(cfg: CrawlConfig, robots: dict, seen: ShardedSeenSet,
     # single-worker pool, each gated on its own wave's write futures
     pending: list = []
     wave_write_futs: dict[int, list] = {}
-    # in-flight staging compactions (CrawlConfig.staging_compact_files);
-    # finalize waits on them so a run is never merged half-written
-    compact_refs: list = []
-    _compacting: dict = {}  # pdir -> in-flight run ref (one per dir, no pile-up)
-
-    def _compact_tick() -> None:
-        if cfg.staging_compact_files <= 0:
-            return
-        for pdir, ref in list(_compacting.items()):
-            if ray.wait([ref], timeout=0)[0]:
-                del _compacting[pdir]
-        for tbl in tables.values():
-            staging = os.path.join(tbl.path, "staging")
-            if not os.path.isdir(staging):
-                continue
-            for d in os.listdir(staging):
-                pdir = os.path.join(staging, d)
-                if not d.startswith("p=") or pdir in _compacting:
-                    continue
-                small = tuple(sorted(
-                    f for f in os.listdir(pdir)
-                    if f.endswith(".parquet")
-                    and not f.startswith("compact-")))
-                if len(small) >= cfg.staging_compact_files:
-                    ref = _compact_staging_dir.remote(pdir, small)
-                    compact_refs.append(ref)
-                    _compacting[pdir] = ref
+    # finalize's stager tasks; the exit waits for every one of them, so no
+    # staging write outlives crawl(), even when another stager failed
+    stage_refs: list = []
 
     metrics_lock = threading.Lock()
     # per-wave metric DELTAS, merged into committed totals strictly FIFO at
@@ -984,7 +913,7 @@ def _run_crawl(cfg: CrawlConfig, robots: dict, seen: ShardedSeenSet,
         seq += n
         add_delta(wave_clock, {"fetched": n})
         # everything below (log write, casts, slicing, the fetch job, the
-        # delta staging) runs in the BACKGROUND worker — the driver thread
+        # delta write) runs in the BACKGROUND worker — the driver thread
         # only assigned seqs; per-wave driver serial work is a few µs
         delta = os.path.join(payload_dir, f"wave-{wave_clock:06d}-{seq_start:09d}")
 
@@ -1007,16 +936,14 @@ def _run_crawl(cfg: CrawlConfig, robots: dict, seen: ShardedSeenSet,
             )
             wave_tbl = full.select([f.name for f in in_schema]).cast(in_schema)
             # FUSED raw fetch tasks, one per slice: fetch+extract, link
-            # candidates, staging for all five tables, delta part write and
-            # counter aggregation all happen inside the task; the job only
-            # fans out and folds the returned counters. This replaced the
-            # per-wave Ray Data micro-job in round 3: its serial from_arrow
-            # puts + per-execution streaming-executor overhead were a
-            # measured FIXED cost per wave (~1-2 s) that did not scale with
-            # CPUs. The batch functions are unchanged map_batches bodies —
+            # candidates, delta part write and counter aggregation all
+            # happen inside the task; the job only fans out and folds the
+            # returned counters. This replaced the per-wave Ray Data
+            # micro-job in round 3: its serial from_arrow puts +
+            # per-execution streaming-executor overhead were a measured
+            # FIXED cost per wave (~1-2 s) that did not scale with CPUs. The batch functions are unchanged map_batches bodies —
             # only the scheduling substrate differs.
-            if cfg.durable_payload:
-                os.makedirs(delta, exist_ok=True)
+            os.makedirs(delta, exist_ok=True)
             refs = []
             # spread every wave evenly over the fetch slots: a wave
             # smaller than fetch_batch x slots (a strict-order tick, a
@@ -1036,13 +963,10 @@ def _run_crawl(cfg: CrawlConfig, robots: dict, seen: ShardedSeenSet,
                     starts.append(i)
             ends = starts[1:] + [len(qids)]
             for pi, (i, j) in enumerate(zip(starts, ends)):
-                part = (
-                    os.path.join(delta, f"part-{pi:05d}.parquet")
-                    if cfg.durable_payload else None
-                )
                 refs.append(_fetch_slice_task.options(**_SPREAD).remote(
                     wave_tbl.slice(i, j - i).combine_chunks(),
-                    (sitelinks_ref,), (pages_ref_get(),), part, stage_specs,
+                    (sitelinks_ref,), (pages_ref_get(),),
+                    os.path.join(delta, f"part-{pi:05d}.parquet"),
                     robots if cfg.discover_links else None,
                     cfg.discover_links,
                 ))
@@ -1064,11 +988,6 @@ def _run_crawl(cfg: CrawlConfig, robots: dict, seen: ShardedSeenSet,
             add_delta(wave_clock, {"requests": requests}, pages_cnt)
             if cfg.discover_links:
                 process_links(delta, wave_clock)
-            if cfg.durable_payload:
-                # staging already happened inside the fetch tasks; the
-                # marker lets finalize skip this delta
-                with open(os.path.join(delta, "_staged"), "w") as mf:
-                    mf.write("1")
             _lap("fetch_extract_write", jt0)
 
         return job
@@ -1092,11 +1011,12 @@ def _run_crawl(cfg: CrawlConfig, robots: dict, seen: ShardedSeenSet,
         dedup by url hash, drop robots-blocked urls, insert the rest. The
         BFS discovery order (_seq, then document position) is preserved by
         the _seq sort + order-preserving list flatten."""
-        t = pq.read_table(
-            delta,
-            columns=["lang", "links", "link_url", "link_host", "link_path",
-                     "link_hash", "link_id", "link_ok", "depth", "_seq"],
-        ).sort_by("_seq")
+        cols = ["lang", "links", "link_url", "link_host", "link_path",
+                "link_hash", "link_id", "link_ok", "depth", "_seq"]
+        t = pa.concat_tables([
+            read_staging_file(f, cols)
+            for f in sorted(_glob.glob(os.path.join(delta, "part-*.parquet")))
+        ]).sort_by("_seq")
         link_urls = t["link_url"].combine_chunks()
         titles = pc.list_flatten(t["links"].combine_chunks())
         parents = pc.list_parent_indices(link_urls)
@@ -1297,7 +1217,6 @@ def _run_crawl(cfg: CrawlConfig, robots: dict, seen: ShardedSeenSet,
                 last["seed_order"][0].as_py(),
             )
             queue_wave_commit(wave, wave_write_futs.pop(wave, []))
-            _compact_tick()
             wave += 1
             if cfg.halt_after_waves is not None and wave >= cfg.halt_after_waves:
                 # simulate a crash: committed manifests + journal exist,
@@ -1339,39 +1258,22 @@ def _run_crawl(cfg: CrawlConfig, robots: dict, seen: ShardedSeenSet,
             metrics.clear()
             metrics.update(committed_totals)
 
-            # ---- finalize: compact payload deltas into the five keyed tables
-            # DRAIN in-flight compaction runs (a merge must not read a
-            # half-written run) but launch NO new ones here: folding a dir
-            # the merge is about to read pays the same per-file opens PLUS a
-            # write and a re-read, strictly after the crawl — measured as a
-            # serial, un-timed stall before the merge at 960k/16 cpus.
-            # Compaction's value is the DURING-crawl ticks.
+            # ---- finalize: fold the payload deltas into the five keyed tables
+            # stage every committed delta part (this run's and, on resume,
+            # the earlier attempt's): one stager per fetch slot, each over
+            # a contiguous share in path order, which is crawl order
             t0 = _time.time()
-            if compact_refs:
-                n_compacted = sum(ray.get(compact_refs))
-                metrics["staging_compacted_files"] = n_compacted
-                timings["staging_compacted"] = float(n_compacted)
-            t0 = _lap("finalize_compact_wait", t0)
-
-            # deltas were staged by their own write jobs (marker per delta
-            # dir); only unstaged ones (committed waves of a resumed run,
-            # whose markers are cleared at startup) need staging here
-            deltas = [d for d in os.listdir(payload_dir) if d.startswith("wave-")]
-            unstaged = sorted(
-                f
-                for d in deltas
-                if not os.path.exists(os.path.join(payload_dir, d, "_staged"))
-                for f in _glob.glob(os.path.join(payload_dir, d, "*.parquet"))
-            )
-            # ephemeral mode leaves no deltas — staged partitions alone
-            # drive the merge
-            any_staged = any(
-                d.startswith("p=")
-                for tbl in tables.values()
-                for d in os.listdir(os.path.join(tbl.path, "staging"))
-            )
-            ray.get([_restage_delta.remote(f, stage_specs) for f in unstaged])
-            if deltas or any_staged:
+            deltas = sorted(_glob.glob(
+                os.path.join(payload_dir, "wave-*", "part-*.parquet")))
+            if deltas:
+                n = min(fetch_slots, len(deltas))
+                cuts = [len(deltas) * i // n for i in range(n + 1)]
+                stage_refs.extend(
+                    _stage_deltas_task.options(**_SPREAD).remote(
+                        deltas[a:b], stage_specs)
+                    for a, b in zip(cuts, cuts[1:]))
+                metrics["staging_batches"] = sum(ray.get(stage_refs))
+                t0 = _lap("finalize_stage", t0)
                 images_arg = images_arg_get()
                 if images_arg is None:
                     # co-partition the binary corpus to the OUTPUT
@@ -1391,15 +1293,15 @@ def _run_crawl(cfg: CrawlConfig, robots: dict, seen: ShardedSeenSet,
         return CrawlResult(cfg.out_dir, tables, metrics)
     finally:
         # ONE exit path for a finished run, the simulated crash and any
-        # error: no background job, manifest commit, compactor or corpus
+        # error: no background job, manifest commit, stager or corpus
         # loader may outlive crawl() — a resume started right after a
         # failure must not race the dead run's writers (queued work that
         # never started is cancelled; a commit gated on a cancelled write
         # fails instead of landing)
         writes_pool.shutdown(wait=True, cancel_futures=True)
         commit_pool.shutdown(wait=True, cancel_futures=True)
-        if compact_refs:
-            ray.wait(compact_refs, num_returns=len(compact_refs))
+        if stage_refs:
+            ray.wait(stage_refs, num_returns=len(stage_refs))
         for t in _bc_threads:
             t.join()
 
