@@ -2,10 +2,15 @@
 merge-insert (the verify_inplace_upsert invariants ported —
 migrations/verify_inplace_upsert.py:1-50)."""
 
+import math
+import os
+import time
+
 import numpy as np
 import pyarrow as pa
 import pytest
 
+from wikicrawl.state import seen as seen_mod
 from wikicrawl.state.frontier import FrontierShardState
 from wikicrawl.state.seen import BloomFilter, CuckooFilter, SeenSet
 from wikicrawl.state.table import KeyedTable
@@ -27,8 +32,7 @@ def test_cuckoo_membership_and_fp():
     cf = CuckooFilter(capacity=4000)
     rng = np.random.default_rng(2)
     keys = rng.integers(1, 2**63, size=2000).astype(np.uint64)
-    for k in keys:
-        cf.insert(int(k))
+    assert cf.insert_batch(keys)
     assert cf.contains_batch(keys).all()
     other = rng.integers(1, 2**63, size=2000).astype(np.uint64)
     fresh = other[~np.isin(other, keys)]
@@ -36,7 +40,7 @@ def test_cuckoo_membership_and_fp():
 
 
 def test_seen_set_first_wins_and_exactness(tmp_path):
-    s = SeenSet(capacity=1 << 12)
+    s = SeenSet()
     rng = np.random.default_rng(3)
     a = rng.integers(0, 2**63, size=500).astype(np.uint64)
     new1 = s.insert_batch(a)
@@ -50,7 +54,7 @@ def test_seen_set_first_wins_and_exactness(tmp_path):
     # segment round-trip
     seg = str(tmp_path / "seg.parquet")
     s.flush_segment(seg)
-    s2 = SeenSet(capacity=1 << 12)
+    s2 = SeenSet()
     s2.load_segment(seg)
     assert len(s2) == len(s)
     assert not s2.insert_batch(a[:10]).any()
@@ -161,43 +165,80 @@ def test_keyed_table_idempotent_replay(tmp_path):
 
 
 def test_seen_set_exact_after_cuckoo_overflow(tmp_path):
-    """ADVICE r1: once the cuckoo overflows (insert fails after MAX_KICKS),
-    membership must fall back to the exact store — a seen URL must never
-    report unseen (false negative)."""
-    # tiny cuckoo with growth capped at its RAM ceiling -> guaranteed overfull
-    s = SeenSet(capacity=1 << 4, max_filter_capacity=1 << 4)
+    """ADVICE r1: a seen URL must never report unseen. Nine keys sharing
+    their top 16 and low 40 bits share a fingerprint and a bucket pair at
+    every table size, so no cuckoo holds them all (a failed insert drops a
+    fingerprint): the run that holds them is built without a cuckoo and
+    probes bloom -> searchsorted — in RAM, and after spilled runs are
+    compacted (whose 2x rebuild fails too)."""
+    low, top = 0x12_3456_789A, 0xABCD << 48
+    bad = np.array([top | (j << 40) | low for j in range(1, 10)],
+                   dtype=np.uint64)
+    near = np.array([top | (j << 40) | low for j in range(10, 40)],
+                    dtype=np.uint64)
     rng = np.random.default_rng(11)
-    keys = rng.integers(1, 2**63, size=5000).astype(np.uint64)
-    assert s.insert_batch(keys).all()
-    assert not s._cuckoo_complete  # the overflow actually happened
-    assert s.contains_batch(keys).all()  # exact despite cuckoo misses
-    assert not s.insert_batch(keys).any()
+    keys = np.unique(rng.integers(1, 2**63, size=5000).astype(np.uint64))
+    keys = np.concatenate([bad, keys[~np.isin(keys, bad)]])
     fresh = rng.integers(1, 2**63, size=5000).astype(np.uint64)
-    fresh = fresh[~np.isin(fresh, keys)]
-    assert not s.contains_batch(fresh).any()
+    fresh = np.concatenate([near, fresh[~np.isin(fresh, keys)]])
+    for spill in (False, True):
+        s = (SeenSet(spill_dir=str(tmp_path / "sp"), max_resident_keys=1)
+             if spill else SeenSet())
+        for i in range(0, len(keys), 1000):
+            assert s.insert_batch(keys[i : i + 1000]).all()
+        assert s.contains_batch(keys).all()
+        assert not s.insert_batch(keys).any()
+        assert not s.contains_batch(fresh).any()
+        runs = s._spilled + s._runs
+        holder = [r for r in runs if np.isin(bad, r.keys).any()]
+        assert len(holder) == 1 and np.isin(bad, holder[0].keys).all()
+        assert holder[0].cuckoo is None
+        assert all(r.cuckoo is not None for r in runs if r is not holder[0])
+        if spill:  # the compacted run, with no cuckoo file
+            assert holder[0] is s._spilled[0]
+            assert [os.path.splitext(f)[1] for f in holder[0].files] == [
+                ".keys", ".bloom"]
+
+
+def test_seen_set_empty_inputs_create_no_run(tmp_path):
+    """Empty batches and empty segments raise nothing and make no run."""
+    spill = tmp_path / "sp"
+    s = SeenSet(spill_dir=str(spill), max_resident_keys=1)
+    empty = np.empty(0, dtype=np.uint64)
+    for keys in (empty, np.arange(1, 100, dtype=np.uint64)):
+        s.insert_batch(keys)
+        assert s.flush_segment(str(tmp_path / "seg.parquet")) == len(keys)
+        before = (len(s._runs), len(s._spilled), sorted(os.listdir(spill)))
+        assert len(s.insert_batch(empty)) == 0
+        assert len(s.contains_batch(empty)) == 0
+        seg = str(tmp_path / "empty.parquet")
+        assert s.flush_segment(seg) == 0
+        assert s.load_segment(seg) == 0
+        assert (len(s._runs), len(s._spilled),
+                sorted(os.listdir(spill))) == before
+        assert len(s) == len(keys)
+    assert len(s._runs) + len(s._spilled) == 1
 
 
 def test_seen_set_compaction_keeps_exactness():
-    """Inserts far beyond _DELTA_MAX force sorted-array compaction; the
-    first-wins contract must hold across the delta/sorted boundary."""
-    s = SeenSet(capacity=1 << 16)
+    """Batch after batch merges runs; the first-wins contract must hold
+    across the merged runs."""
+    s = SeenSet()
     rng = np.random.default_rng(12)
     a = rng.integers(1, 2**63, size=20000).astype(np.uint64)
     a = np.unique(a)
-    assert s.insert_batch(a).all()
-    assert len(s._sorted) > 0  # compaction ran
+    for i in range(0, len(a), 1000):
+        assert s.insert_batch(a[i : i + 1000]).all()
+    assert len(s._runs) < 20  # runs merged
     assert not s.insert_batch(a).any()
     assert s.contains_batch(a).all()
 
 
 def test_seen_set_spill_runs_memory_budget(tmp_path):
-    """10^10-URL path: with a spill dir and a tiny resident budget the exact
-    store overflows to sorted on-disk runs (memmap probes), compaction
+    """10^10-URL path: with a spill dir and a tiny resident budget the
+    runs overflow to disk with their filters (memmap probes), compaction
     bounds the run count, and first-wins/membership stay EXACT."""
-    import os
-
-    s = SeenSet(capacity=1 << 16, spill_dir=str(tmp_path / "spill"),
-                max_resident_keys=10_000, max_runs=2)
+    s = SeenSet(spill_dir=str(tmp_path / "spill"), max_resident_keys=10_000)
     rng = np.random.default_rng(21)
     chunks = [np.unique(rng.integers(1, 2**63, size=20_000).astype(np.uint64))
               for _ in range(6)]
@@ -206,58 +247,68 @@ def test_seen_set_spill_runs_memory_budget(tmp_path):
         fresh = c[~np.isin(c, np.concatenate(seen_all))] if seen_all else c
         assert s.insert_batch(fresh).all()
         seen_all.append(fresh)
-        assert s.resident_keys() <= 10_000 + s._DELTA_MAX + 20_000  # bounded
+        assert s.resident_keys() <= 10_000 + 20_000  # budget + one batch
     allk = np.concatenate(seen_all)
-    assert len(s._runs) >= 1  # spilling actually happened
-    assert len(s._runs) <= 2 + 1  # compaction bounds run count
+    assert len(s._spilled) >= 1  # spilling actually happened
+    assert len(s._spilled) <= seen_mod.MAX_SPILL_RUNS  # compaction ran
+    for run in s._spilled:  # keys, bloom bits and cuckoo table on disk
+        assert [os.path.splitext(f)[1] for f in run.files] == [
+            ".keys", ".bloom", ".cuckoo"]
+        assert all(os.path.exists(f) for f in run.files)
     assert s.contains_batch(allk).all()  # exact across RAM + runs
     assert not s.insert_batch(allk).any()  # first-wins exact
     other = rng.integers(1, 2**63, size=5000).astype(np.uint64)
     other = other[~np.isin(other, allk)]
     assert not s.contains_batch(other).any()
-    # run files really are on disk
-    files = os.listdir(tmp_path / "spill")
-    assert any(f.startswith("run-") for f in files)
 
 
-def test_seen_set_autogrow_stays_fast_and_exact():
-    """480k-corpus regression: at ~1M keys the cuckoo must auto-grow
-    (rebuild at 2x) instead of saturating into the 500-kick Python
-    eviction loop per insert (drv_seen was 352s at 930k keys pre-fix)."""
-    import time
-
-    s = SeenSet(capacity=1 << 16)
+def test_seen_set_log_runs_stay_fast_and_exact():
+    """500k keys in 8192-key batches: the runs stay O(log N), each run's
+    filters hold their design false-positive rates (no filter is rebuilt
+    at 2x, none stops filtering past a RAM ceiling), and membership is
+    exact."""
+    s = SeenSet()
     rng = np.random.default_rng(31)
-    chunks = []
+    keys = rng.integers(1, 2**63, size=500_000).astype(np.uint64)
     t0 = time.time()
-    for _ in range(20):
-        c = rng.integers(1, 2**63, size=50_000).astype(np.uint64)
-        s.insert_batch(c)
-        chunks.append(c)
-    assert time.time() - t0 < 15  # ~1.5s on the bench box; minutes pre-fix
-    assert s._cuckoo_complete  # grew before overflow, fast path intact
-    allk = np.unique(np.concatenate(chunks))
+    for i in range(0, len(keys), 8192):
+        s.insert_batch(keys[i : i + 8192])
+    assert time.time() - t0 < 15
+    assert len(s._runs) <= math.ceil(math.log2(500_000 / 8192)) + 1
+    fresh = rng.integers(1, 2**63, size=100_000).astype(np.uint64)
+    fresh = fresh[~np.isin(fresh, keys)]
+    for run in s._runs:
+        assert run.bloom.contains_batch(fresh).mean() <= 0.02
+        assert run.cuckoo.contains_batch(fresh).mean() <= 0.001
+    allk = np.unique(keys)
     assert len(s) == len(allk)
     assert s.contains_batch(allk).all()
     assert not s.insert_batch(allk).any()
+    assert not s.contains_batch(fresh).any()
 
 
-def test_compaction_vectorized_merge_exact(tmp_path):
+def test_compaction_vectorized_merge_exact(tmp_path, monkeypatch):
     """The vectorized k-way merge must equal a global sort+unique of all
     spilled keys, across MANY rounds (chunk smaller than the runs) and
-    with heavy cross-run duplication."""
-    s = SeenSet(capacity=1 << 12, spill_dir=str(tmp_path / "sp"),
-                max_resident_keys=1, max_runs=100)  # no auto-compaction
+    with heavy cross-run duplication; the merged run's filters, built
+    from the merged chunks, pass every merged key."""
+    monkeypatch.setattr(seen_mod, "MAX_SPILL_RUNS", 100)  # no auto-compaction
+    s = SeenSet(spill_dir=str(tmp_path / "sp"), max_resident_keys=1)
     rng = np.random.default_rng(3)
     all_keys = []
     for _ in range(5):
         k = rng.integers(1, 5000, size=800).astype(np.uint64)  # dup-heavy
         s.insert_batch(k)
         all_keys.append(k)
-    assert len(s._runs) >= 5
+    assert len(s._spilled) >= 5
     s._compact_runs(chunk_keys=64)  # force multi-round merging
-    assert len(s._runs) == 1
-    got = np.asarray(s._runs[0])
+    assert len(s._spilled) == 1
+    run = s._spilled[0]
+    got = np.asarray(run.keys)
     want = np.unique(np.concatenate(all_keys))
     assert np.array_equal(got, want)
+    assert run.bloom.contains_batch(want).all()
+    assert run.cuckoo.contains_batch(want).all()
+    assert sorted(os.listdir(tmp_path / "sp")) == sorted(
+        os.path.basename(f) for f in run.files)  # merged runs' files gone
     assert s.contains_batch(want).all()

@@ -108,7 +108,8 @@ class CrawlConfig:
     only_qids: frozenset | None = None  # entity-level scoping (incremental
     # recrawl: refresh exactly these entities; keyed upserts keep the rest)
     seen_resident_keys: int = 1 << 22  # per-shard RAM budget for the exact
-    # seen store; overflow spills to sorted uint64 runs probed via memmap
+    # seen store; overflow spills its sorted uint64 runs, with their bloom
+    # and cuckoo filters, to disk, probed via memmap
     images_broadcast_limit_bytes: int = 1 << 30  # images table above this
     # is co-partitioned to the output partitions at finalize, read straight
     # from images.parquet (pipelines/bytes_shuffle.py), instead of one
@@ -682,15 +683,14 @@ def _run_crawl(cfg: CrawlConfig, robots: dict, seen: ShardedSeenSet,
             # admissions neither the journal nor the crawl log fits
             # the driver. The log's url_hashes stream into a bounded-
             # RAM exact probe (the SeenSet's own spill-run machinery:
-            # resident sorted array + sorted on-disk runs, memmap
-            # searchsorted probes); admission files then stream
+            # sorted runs with per-run filters, spilled to disk and
+            # probed via memmap); admission files then stream
             # through it one wave-file at a time. Driver memory is
             # O(resident budget), never O(log + journal).
             from wikicrawl.state.seen import SeenSet as _ProbeSet
 
             probe_dir = os.path.join(cfg.out_dir, "_resume_probe")
-            probe = _ProbeSet(capacity=1 << 20, spill_dir=probe_dir,
-                              max_resident_keys=1 << 22)
+            probe = _ProbeSet(spill_dir=probe_dir, max_resident_keys=1 << 22)
             for name in sorted(os.listdir(log_dir)):
                 if name.endswith(".parquet"):
                     h = pq.read_table(

@@ -1,21 +1,25 @@
-"""URL-seen set: bloom pre-filter + cuckoo filter + exact backing store.
+"""URL-seen set: immutable sorted runs, each with its own bloom and cuckoo
+filter.
 
 north_rule requires (a) a sharded cuckoo-filter URL-seen set with bloom
 pre-filter keyed by canonicalized+hashed URLs, and (b) EXACT final seen-set
 parity with the reference. Approximate filters alone cannot give (b) — a
 cuckoo false positive would silently drop a URL. Design (SURVEY §4.2.3):
 
-- bloom: negative -> URL definitely new (common case at the frontier's edge,
-  one cache-friendly probe, no exact lookup);
-- cuckoo: holds 16-bit fingerprints, supports deletes/aging, bounds the
-  false-positive rate of the "maybe seen" path;
-- exact backing: the inserted 64-bit hashes themselves — in RAM as a set,
-  spillable to sorted uint64 parquet segments per checkpoint; consulted ONLY
-  when bloom+cuckoo both say "maybe".
+- the exact store is a list of immutable runs: sorted unique uint64 hashes.
+  A key enters exactly one run, when it is first seen, so runs are disjoint;
+- each run carries a bloom filter and a cuckoo filter, built once when the
+  run is made and sized to it. No filter grows or is rebuilt, so filter RAM
+  and false-positive rates stay at their design values at any key count;
+- a probe walks the runs newest to oldest. In each run: bloom negative ->
+  not here; cuckoo negative -> not here; otherwise ``searchsorted`` decides.
 
-So the fast path is O(1) probes and the *result* is exact. Shards are
-``hash % n_shards`` actors; membership/insert calls are batched per shard
-(one ray call per shard per wave, not per URL).
+So the fast path is O(1) probes per run and the *result* is exact. A batch's
+new keys become a new run, and neighbouring runs merge while the older holds
+fewer than twice the newer's keys, so N keys live in O(log N) runs. Beyond a
+resident budget runs spill to disk with their filters (memory-mapped).
+Shards are ``hash % n_shards`` actors; membership/insert calls are batched
+per shard (one ray call per shard per wave, not per URL).
 """
 
 from __future__ import annotations
@@ -36,7 +40,11 @@ class BloomFilter:
     bloom only gates the exact-store probe (it can never cause a wrong
     answer, only a wasted lookup)."""
 
-    K = 4
+    K = 4  # bits per key: four 6-bit slices of 24 hash bits
+    # the in-word mask of each 12-bit half of those 24 bits (two slices):
+    # a key's mask is two table lookups, not K shift-and-or passes
+    _PAIR = (np.uint64(1) << (np.arange(4096, dtype=np.uint64) & np.uint64(63))
+             | np.uint64(1) << (np.arange(4096, dtype=np.uint64) >> np.uint64(6)))
 
     def __init__(self, capacity: int, fp_rate: float = 0.01):
         m = max(4096, int(-capacity * np.log(fp_rate) / (np.log(2) ** 2)))
@@ -49,10 +57,10 @@ class BloomFilter:
         keys = np.asarray(keys, dtype=np.uint64)
         word = (keys & self._wmask).astype(np.int64)
         # k in-word bit positions from independent 6-bit hash slices
-        h = (keys * np.uint64(0x9E3779B97F4A7C15))
-        mask = np.zeros(len(keys), dtype=np.uint64)
-        for i in range(self.K):
-            mask |= np.uint64(1) << ((h >> np.uint64(16 + 6 * i)) & np.uint64(63))
+        h = (keys * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(16)
+        half = np.uint64(0xFFF)
+        mask = (self._PAIR[(h & half).astype(np.intp)]
+                | self._PAIR[((h >> np.uint64(12)) & half).astype(np.intp)])
         return word, mask
 
     def add_batch(self, keys: np.ndarray) -> None:
@@ -71,32 +79,23 @@ class BloomFilter:
 class CuckooFilter:
     """Standard (2, 4) cuckoo filter with 16-bit fingerprints over uint64 keys.
 
+    Sized so that ``capacity`` keys fill at most ``MAX_LOAD`` of the slots.
     Inserts are O(1) via a per-bucket occupancy count (no slot scan); the
     random-walk eviction only runs when both candidate buckets are full,
-    which stays rare below ~0.95 load because the owning ``SeenSet`` grows
-    the filter (rebuild at 2x) before that point."""
+    which stays rare at that load."""
 
     MAX_KICKS = 500
+    MAX_LOAD = 0.84
 
     def __init__(self, capacity: int):
-        n_buckets = max(8, int(2 ** np.ceil(np.log2(capacity / 4 * 1.1 + 1))))
+        need = max(1.0, capacity / (4 * self.MAX_LOAD))
+        n_buckets = max(8, int(2 ** np.ceil(np.log2(need))))
         self.n_buckets = n_buckets
         self.table = np.zeros((n_buckets, 4), dtype=np.uint16)  # 0 = empty
         self.occ = np.zeros(n_buckets, dtype=np.uint8)  # filled slots per bucket
         self.count = 0  # fingerprints stored
         self._mask = np.uint64(n_buckets - 1)
         self._lcg = 0xC0FFEE  # cheap deterministic RNG for eviction walks
-
-    @property
-    def capacity_slots(self) -> int:
-        return self.n_buckets * 4
-
-    def _fp(self, key: np.uint64) -> np.uint16:
-        fp = np.uint16((int(key) >> 48) & 0xFFFF)
-        return fp if fp != 0 else np.uint16(1)
-
-    def _i1(self, key: int) -> int:
-        return int(np.uint64(key) & self._mask)
 
     def _i2(self, i1: int, fp: int) -> int:
         # partial-key cuckoo: alt index = i1 xor hash(fp)
@@ -109,7 +108,9 @@ class CuckooFilter:
         return self._lcg >> 33
 
     def _kick(self, fp: int, i1: int, i2: int) -> bool:
-        """Random-walk eviction; both buckets known full on entry."""
+        """Random-walk eviction; both buckets known full on entry. A failed
+        walk drops the fingerprint it holds last, which may be another
+        key's: the filter then has a false negative."""
         i = i1 if self._rand() & 1 else i2
         table, occ = self.table, self.occ
         for _ in range(self.MAX_KICKS):
@@ -122,37 +123,19 @@ class CuckooFilter:
                 occ[i] = o + 1
                 self.count += 1
                 return True
-        return False  # table overfull; exact backing still catches membership
-
-    def insert(self, key: int) -> bool:
-        fp = int(self._fp(np.uint64(key)))
-        i1 = self._i1(key)
-        i2 = self._i2(i1, fp)
-        table, occ = self.table, self.occ
-        o = occ[i1]
-        if o < 4:
-            table[i1, o] = fp
-            occ[i1] = o + 1
-            self.count += 1
-            return True
-        o = occ[i2]
-        if o < 4:
-            table[i2, o] = fp
-            occ[i2] = o + 1
-            self.count += 1
-            return True
-        return self._kick(fp, i1, i2)
+        return False
 
     def _bulk_place(self, fp: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """Vectorized conflict-safe placement of fp[j] into bucket idx[j]
         where slots remain: sort by bucket, rank within bucket, place ranks
         that fit below the 4-slot ceiling in one fancy-indexed write.
         Returns the boolean mask of placed entries."""
-        order = np.argsort(idx, kind="stable")
+        order = np.argsort(idx)  # any order within a bucket will do
         si = idx[order]
         sf = fp[order]
-        uniq, start, counts = np.unique(si, return_index=True,
-                                        return_counts=True)
+        start = np.flatnonzero(np.concatenate(([True], si[1:] != si[:-1])))
+        counts = np.diff(np.append(start, len(si)))
+        uniq = si[start]
         rank = np.arange(len(si), dtype=np.int64) - np.repeat(start, counts)
         slot = self.occ[si].astype(np.int64) + rank
         fits = slot < 4
@@ -169,7 +152,9 @@ class CuckooFilter:
         """Bulk insert: fingerprints + both bucket indexes in one numpy
         pass, two vectorized placement rounds (primary bucket, then alt
         bucket for the spillover); only keys whose BOTH buckets are full
-        fall to the per-key kick loop (rare below the grow load factor)."""
+        fall to the per-key kick loop (rare below ``MAX_LOAD``). False when
+        a kick failed: the filter may then miss a stored key and must not
+        be used."""
         keys = np.asarray(keys, dtype=np.uint64)
         if not len(keys):
             return True
@@ -185,18 +170,11 @@ class CuckooFilter:
         rem2 = ~self._bulk_place(fp2, i2r)
         if not rem2.any():
             return True
-        ok = True
         for f, a, b in zip(fp2[rem2].tolist(), i1r[rem2].tolist(),
                            i2r[rem2].tolist()):
             if not self._kick(f, a, b):
-                ok = False
-        return ok
-
-    def contains(self, key: int) -> bool:
-        fp = int(self._fp(np.uint64(key)))
-        i1 = self._i1(key)
-        i2 = self._i2(i1, fp)
-        return bool((self.table[i1] == fp).any() or (self.table[i2] == fp).any())
+                return False
+        return True
 
     def contains_batch(self, keys: np.ndarray) -> np.ndarray:
         """Vectorized membership probe: fingerprints + both bucket indexes
@@ -212,74 +190,175 @@ class CuckooFilter:
         return hit1 | hit2
 
 
+MAX_SPILL_RUNS = 4  # spilled runs past this count are compacted into one
+_SLICE = 1 << 16  # keys per numpy pass: a pass's temporaries stay in cache,
+# which makes filter builds and probes 2-6x faster on large runs
+MERGE_RATIO = 2  # neighbouring resident runs merge while the older holds
+# fewer than this many times the newer's keys: N keys live in O(log N) runs
+
+
+def _cuckoo(chunks: list, scales: tuple = (1, 2)) -> CuckooFilter | None:
+    """A cuckoo filter holding every key of ``chunks``, sized to them and
+    built again at the next scale when some key cannot be placed. None when
+    every scale fails (more keys share one fingerprint and bucket pair than
+    its 8 slots hold): a failed insert drops a fingerprint, and a filter
+    that lost one would report a seen key unseen."""
+    n = sum(len(c) for c in chunks)
+    for scale in scales:
+        ck = CuckooFilter(scale * n)
+        if all(ck.insert_batch(c) for c in chunks):
+            return ck
+    return None
+
+
+def _slices(keys: np.ndarray) -> list:
+    return [keys[i : i + _SLICE] for i in range(0, len(keys), _SLICE)]
+
+
+def _merge(runs: list) -> np.ndarray:
+    """Keys of disjoint sorted runs as one sorted array (numpy's stable
+    sort of uint64 is a timsort, which merges the sorted stretches of the
+    concatenation instead of sorting it afresh)."""
+    return np.sort(np.concatenate(runs), kind="stable")
+
+
+def _save(path: str, arr: np.ndarray) -> np.memmap:
+    """Write ``arr`` to ``path`` (tmp + rename), mapped back read-only."""
+    tmp = path + ".tmp"
+    arr.tofile(tmp)
+    os.replace(tmp, path)
+    return np.memmap(path, dtype=arr.dtype, mode="r", shape=arr.shape)
+
+
+class _Run:
+    """One immutable run: sorted unique keys, the bloom and cuckoo filters
+    built for them (``cuckoo`` is None when no cuckoo could hold them), and
+    its files once spilled (empty while resident)."""
+
+    def __init__(self, keys: np.ndarray, bloom: BloomFilter,
+                 cuckoo: CuckooFilter | None, files: tuple = ()):
+        self.keys, self.bloom, self.cuckoo, self.files = (
+            keys, bloom, cuckoo, files)
+
+    @classmethod
+    def build(cls, keys: np.ndarray) -> "_Run":
+        parts = _slices(keys)
+        bloom = BloomFilter(len(keys))
+        for part in parts:
+            bloom.add_batch(part)
+        return cls(keys, bloom, _cuckoo(parts))
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def member(self, keys: np.ndarray) -> np.ndarray:
+        """Exact membership: bloom, then cuckoo, then ``searchsorted``,
+        each on the keys the one before let through."""
+        out = np.zeros(len(keys), dtype=bool)
+        m = np.flatnonzero(self.bloom.contains_batch(keys))
+        if self.cuckoo is not None and len(m):
+            m = m[self.cuckoo.contains_batch(keys[m])]
+        if len(m):
+            k = keys[m]
+            idx = np.minimum(np.searchsorted(self.keys, k), len(self.keys) - 1)
+            out[m] = self.keys[idx] == k
+        return out
+
+
 class SeenSet:
-    """Exact seen-set with bloom/cuckoo fast path and parquet spill segments.
+    """Exact seen-set over immutable sorted runs with per-run filters
+    (module docstring).
 
-    Membership chain (each stage vectorized, each prunes the next):
-    bloom negative -> definitely new; cuckoo negative -> definitely new
-    WHILE the cuckoo has never overflowed (``_cuckoo_complete``) — after an
-    insert failure the cuckoo becomes a positive-only accelerator and misses
-    fall through to the exact store (no false negatives; ADVICE r1 fix);
-    exact store = sorted uint64 array (searchsorted probe) + small delta set
-    compacted when it grows.
+    Resident runs are kept oldest first with each holding at least
+    ``MERGE_RATIO`` times the keys of the next newer one: a new run
+    absorbs older runs below that until the rule holds, so N keys live in
+    at most ~log2(N/batch)+1 runs and each key is merged O(log N) times.
 
-    10^10-URL path: with ``spill_dir`` set, the resident sorted array is
-    bounded by ``max_resident_keys`` — overflow spills to sorted uint64
-    runs on disk, probed via np.memmap searchsorted (OS page cache; only
-    bloom/cuckoo-positive keys ever reach a run probe). Runs are merged by
-    sorted-run compaction when their count exceeds ``max_runs``, so probe
-    cost stays O(log N) over a handful of runs. Spill runs are run-scoped
-    derived state (rebuilt from checkpoint segments on resume)."""
+    10^10-URL path: with ``spill_dir`` set, once the resident runs hold
+    more than ``max_resident_keys`` keys they are merged into one run that
+    is written to disk with its filters (keys, bloom bits, cuckoo table,
+    each tmp + rename) and memory-mapped back, so resident RAM stays
+    bounded at any key count (a compaction holds the merged run's filters
+    in RAM while it builds them, ~4-7 bytes per key). More than ``MAX_SPILL_RUNS`` spilled runs
+    are compacted into one, so probe cost stays O(log N) over a handful of
+    runs. Spill runs are run-scoped derived state (rebuilt from checkpoint
+    segments on resume)."""
 
-    _DELTA_MAX = 8192
-    _GROW_LOAD = 0.84  # rebuild filters at 2x before kicks get expensive
-
-    def __init__(self, capacity: int = 1 << 16, spill_dir: str | None = None,
-                 max_resident_keys: int = 1 << 22, max_runs: int = 4,
-                 max_filter_capacity: int | None = None):
-        self._capacity = capacity
-        # RAM ceiling for the approximate filters (per shard): growth stops
-        # here; beyond it the cuckoo may overflow and membership falls back
-        # to the exact store (still correct, just fewer pruned probes)
-        self.max_filter_capacity = max_filter_capacity
-        self.bloom = BloomFilter(capacity)
-        self.cuckoo = CuckooFilter(capacity)
-        self._sorted = np.empty(0, dtype=np.uint64)
-        self._delta: set[int] = set()
-        self._cuckoo_complete = True
-        self._staged: list[np.ndarray] = []  # inserts since last segment flush
+    def __init__(self, spill_dir: str | None = None,
+                 max_resident_keys: int = 1 << 22):
         self.spill_dir = spill_dir
         self.max_resident_keys = max_resident_keys
-        self.max_runs = max_runs
-        self._runs: list[np.memmap] = []
+        self._runs: list[_Run] = []  # resident, oldest first
+        self._spilled: list[_Run] = []  # on disk, oldest first, all older
+        self._staged: list[np.ndarray] = []  # inserts since last segment flush
         self._run_seq = 0
         if spill_dir:
             os.makedirs(spill_dir, exist_ok=True)
 
-    # -- spill runs ------------------------------------------------------
+    # -- runs ------------------------------------------------------------
 
-    def _write_run(self, arr: np.ndarray) -> None:
-        path = os.path.join(self.spill_dir, f"run-{self._run_seq:06d}.npy")
-        self._run_seq += 1
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as f:
-            f.write(arr.astype("<u8").tobytes())
-        os.replace(tmp, path)
-        self._runs.append(np.memmap(path, dtype="<u8", mode="r"))
+    def _member(self, keys: np.ndarray) -> np.ndarray:
+        """Membership of unique keys: newest run first, each run probing
+        only the keys no newer run holds."""
+        out = np.zeros(len(keys), dtype=bool)
+        runs = self._spilled + self._runs
+        for lo in range(0, len(keys), _SLICE):
+            sub = keys[lo : lo + _SLICE]
+            rem = np.arange(lo, lo + len(sub))
+            for run in reversed(runs):
+                if not len(rem):
+                    break
+                hit = run.member(sub)
+                if hit.any():
+                    out[rem[hit]] = True
+                    rem, sub = rem[~hit], sub[~hit]
+        return out
 
-    def _spill_if_needed(self) -> None:
-        if self.spill_dir is None or len(self._sorted) <= self.max_resident_keys:
+    def _push(self, keys: np.ndarray) -> None:
+        """Add sorted unique keys that no run holds as the newest run."""
+        if not len(keys):
             return
-        self._write_run(self._sorted)
-        self._sorted = np.empty(0, dtype=np.uint64)
-        if len(self._runs) > self.max_runs:
+        runs = self._runs
+        while runs and len(runs[-1]) < MERGE_RATIO * len(keys):
+            keys = _merge([runs.pop().keys, keys])
+        runs.append(_Run.build(keys))
+        if (self.spill_dir is not None
+                and self.resident_keys() > self.max_resident_keys):
+            self._spill()
+
+    def _next_base(self) -> str:
+        self._run_seq += 1
+        return os.path.join(self.spill_dir, f"run-{self._run_seq:06d}")
+
+    def _disk_run(self, base: str, keys: np.memmap, bloom: BloomFilter,
+                  cuckoo: CuckooFilter | None) -> _Run:
+        """The spilled run whose keys are at ``base.keys``: its filters
+        written next to them and mapped back too."""
+        files = [base + ".keys", base + ".bloom"]
+        bloom.bits = _save(files[1], bloom.bits)
+        if cuckoo is not None:
+            files.append(base + ".cuckoo")
+            cuckoo.table = _save(files[2], cuckoo.table)
+            cuckoo.occ = None  # a run's filter takes no more inserts
+        return _Run(keys, bloom, cuckoo, tuple(files))
+
+    def _spill(self) -> None:
+        runs = self._runs
+        run = runs[0] if len(runs) == 1 else _Run.build(
+            _merge([r.keys for r in runs]))
+        base = self._next_base()
+        self._spilled.append(self._disk_run(
+            base, _save(base + ".keys", run.keys), run.bloom, run.cuckoo))
+        self._runs = []
+        if len(self._spilled) > MAX_SPILL_RUNS:
             self._compact_runs()
 
     def _compact_runs(self, chunk_keys: int = 1 << 20) -> None:
         """Sorted-run compaction as a STREAMING k-way merge: runs are read
         in bounded chunks through their memmaps and the merged run is
-        written incrementally — peak RAM is O(max_runs x chunk), never the
-        total key count (the 10^10/shard case).
+        written incrementally — the keys in RAM are O(runs x chunk), never
+        the total key count (the 10^10/shard case). The merged run's bloom
+        and cuckoo filters are built from the chunks as they are written.
 
         Fully VECTORIZED (no per-key Python): each round takes the next
         window from every live run, emits everything <= the smallest
@@ -291,17 +370,16 @@ class SeenSet:
         through disk vs ~2.5M keys/s for the old per-key ``heapq.merge``
         loop before it even wrote (COVERAGE.md, "Vectorized spill
         compaction")."""
-        path = os.path.join(self.spill_dir, f"run-{self._run_seq:06d}.npy")
-        self._run_seq += 1
-        tmp = path + ".tmp"
-
-        old = [r.filename for r in self._runs]
-        pos = [0] * len(self._runs)
-        with open(tmp, "wb") as f:
+        runs = self._spilled
+        n = sum(len(r) for r in runs)  # exact: runs are disjoint
+        bloom, cuckoo, placed = BloomFilter(n), CuckooFilter(n), True
+        base = self._next_base()
+        pos = [0] * len(runs)
+        with open(base + ".keys.tmp", "wb") as f:
             while True:
                 windows = [
-                    (i, np.asarray(r[pos[i] : pos[i] + chunk_keys]))
-                    for i, r in enumerate(self._runs)
+                    (i, np.asarray(r.keys[pos[i] : pos[i] + chunk_keys]))
+                    for i, r in enumerate(runs)
                     if pos[i] < len(r)
                 ]
                 if not windows:
@@ -313,116 +391,35 @@ class SeenSet:
                     if take:
                         parts.append(w[:take])
                         pos[i] += take
-                f.write(np.unique(np.concatenate(parts)).astype("<u8").tobytes())
-        os.replace(tmp, path)
-        self._runs = [np.memmap(path, dtype="<u8", mode="r")]
-        for p in old:
-            os.remove(p)
+                chunk = np.unique(np.concatenate(parts))
+                chunk.tofile(f)
+                for part in _slices(chunk):
+                    bloom.add_batch(part)
+                    placed = placed and cuckoo.insert_batch(part)
+        os.replace(base + ".keys.tmp", base + ".keys")
+        keys = np.memmap(base + ".keys", dtype=np.uint64, mode="r")
+        if not placed:
+            cuckoo = _cuckoo(_slices(keys), scales=(2,))
+        self._spilled = [self._disk_run(base, keys, bloom, cuckoo)]
+        for r in runs:
+            for p in r.files:
+                os.remove(p)
 
     def resident_keys(self) -> int:
         """Keys held in RAM (budget observability; spill runs excluded)."""
-        return len(self._sorted) + len(self._delta)
-
-    def _exact_member(self, keys: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(keys), dtype=bool)
-        if len(self._sorted):
-            idx = np.clip(np.searchsorted(self._sorted, keys), 0,
-                          len(self._sorted) - 1)
-            out = self._sorted[idx] == keys
-        for run in self._runs:
-            rem = np.flatnonzero(~out)
-            if not len(rem):
-                break
-            idx = np.clip(np.searchsorted(run, keys[rem]), 0, len(run) - 1)
-            out[rem] = np.asarray(run[idx]) == keys[rem]
-        if self._delta:
-            d = self._delta
-            for j in np.flatnonzero(~out):
-                if int(keys[j]) in d:
-                    out[j] = True
-        return out
-
-    def _member(self, keys: np.ndarray) -> np.ndarray:
-        """Full chain over already-unique keys."""
-        out = np.zeros(len(keys), dtype=bool)
-        maybe = self.bloom.contains_batch(keys)
-        if not maybe.any():
-            return out
-        m = np.flatnonzero(maybe)
-        if self._cuckoo_complete:
-            ck = self.cuckoo.contains_batch(keys[m])
-            m = m[ck]
-            if len(m) == 0:
-                return out
-        out[m] = self._exact_member(keys[m])
-        return out
-
-    def _compact(self) -> None:
-        # amortized: merge the delta set into the sorted array only once it
-        # is a meaningful fraction of it (O(n log n) total, not O(n^2/const))
-        limit = max(self._DELTA_MAX, len(self._sorted) // 4)
-        if self.spill_dir is not None:
-            limit = min(limit, self.max_resident_keys)
-        if len(self._delta) > limit:
-            arr = np.fromiter(self._delta, dtype=np.uint64, count=len(self._delta))
-            self._sorted = np.sort(np.concatenate([self._sorted, arr]))
-            self._delta = set()
-            self._spill_if_needed()
-
-    def _iter_all_keys(self, chunk_keys: int = 1 << 20):
-        """Yield every stored key as uint64 chunks (resident + spill runs)."""
-        if len(self._sorted):
-            yield self._sorted
-        if self._delta:
-            yield np.fromiter(self._delta, dtype=np.uint64,
-                              count=len(self._delta))
-        for run in self._runs:
-            for i in range(0, len(run), chunk_keys):
-                yield np.asarray(run[i : i + chunk_keys])
-
-    def _maybe_grow(self, incoming: int) -> None:
-        """Rebuild bloom+cuckoo at >=2x when the cuckoo would cross the
-        grow load factor. Amortized O(1) per key across doublings; keys are
-        re-derived from the exact backing (resident arrays + spill runs)."""
-        if not self._cuckoo_complete:
-            return
-        needed = self.cuckoo.count + incoming
-        if needed <= self._GROW_LOAD * self.cuckoo.capacity_slots:
-            return
-        cap = self._capacity
-        while needed > self._GROW_LOAD * cap:
-            cap *= 2
-        if self.max_filter_capacity is not None:
-            cap = min(cap, self.max_filter_capacity)
-            if cap <= self._capacity:
-                return  # at the RAM ceiling; let the cuckoo saturate
-        self._capacity = cap
-        self.bloom = BloomFilter(cap)
-        self.cuckoo = CuckooFilter(cap)
-        ok = True
-        for chunk in self._iter_all_keys():
-            ok = self.cuckoo.insert_batch(chunk) and ok
-            self.bloom.add_batch(chunk)
-        self._cuckoo_complete = ok
+        return sum(len(r) for r in self._runs)
 
     def insert_batch(self, keys: np.ndarray) -> np.ndarray:
         """Insert; returns mask of keys that were NEW (first-wins — only the
         first occurrence of a duplicate within the batch is new)."""
         keys = np.asarray(keys, dtype=np.uint64)
         uniq, first_idx = np.unique(keys, return_index=True)
-        member = self._member(uniq)
-        new_uniq = uniq[~member]
+        fresh = ~self._member(uniq)
         new = np.zeros(len(keys), dtype=bool)
-        new[first_idx[~member]] = True
-        if len(new_uniq):
-            self._maybe_grow(len(new_uniq))  # before delta holds new_uniq
-            self._delta.update(new_uniq.tolist())
-            self._staged.append(new_uniq)
-            if self._cuckoo_complete:
-                if not self.cuckoo.insert_batch(new_uniq):
-                    self._cuckoo_complete = False
-            self.bloom.add_batch(new_uniq)
-            self._compact()
+        new[first_idx[fresh]] = True
+        if fresh.any():
+            self._staged.append(uniq[fresh])
+            self._push(self._staged[-1])
         return new
 
     def contains_batch(self, keys: np.ndarray) -> np.ndarray:
@@ -430,17 +427,8 @@ class SeenSet:
         uniq, inverse = np.unique(keys, return_inverse=True)
         return self._member(uniq)[inverse]
 
-    @property
-    def exact(self) -> set[int]:
-        """Exact membership as a Python set (tests/verification; small scales)."""
-        out = set(int(k) for k in self._sorted) | self._delta
-        for run in self._runs:
-            out |= set(int(k) for k in np.asarray(run))
-        return out
-
     def __len__(self) -> int:
-        return (len(self._sorted) + len(self._delta)
-                + sum(len(r) for r in self._runs))
+        return sum(len(r) for r in self._spilled + self._runs)
 
     # -- checkpoint segments --------------------------------------------
 
@@ -460,13 +448,8 @@ class SeenSet:
 
     def load_segment(self, path: str) -> int:
         keys = pq.read_table(path)["url_hash"].to_numpy().astype(np.uint64)
-        self._maybe_grow(len(keys))
-        self._sorted = np.unique(np.concatenate([self._sorted, keys]))
-        self._spill_if_needed()
-        if self._cuckoo_complete:
-            if not self.cuckoo.insert_batch(keys):
-                self._cuckoo_complete = False
-        self.bloom.add_batch(keys)
+        uniq = np.unique(keys)
+        self._push(uniq[~self._member(uniq)])
         return len(keys)
 
 
@@ -474,26 +457,21 @@ class SeenSet:
 class SeenShardActor:
     """One shard of the URL-seen set (keys routed by ``hash % n_shards``)."""
 
-    def __init__(self, shard_id: int, capacity: int = 1 << 16,
-                 spill_dir: str | None = None,
+    def __init__(self, shard_id: int, spill_dir: str | None = None,
                  max_resident_keys: int = 1 << 22):
-        self.reset(shard_id, capacity, spill_dir, max_resident_keys)
+        self.reset(shard_id, spill_dir, max_resident_keys)
 
-    def reset(self, shard_id: int, capacity: int = 1 << 16,
-              spill_dir: str | None = None,
+    def reset(self, shard_id: int, spill_dir: str | None = None,
               max_resident_keys: int = 1 << 22) -> None:
         """The state a new actor built with these arguments starts in (a
         leased shard is reset, never patched: state/placement.py); the old
         set's spill-run memmaps go with it."""
         self.shard_id = shard_id
-        self.seen = SeenSet(capacity, spill_dir=spill_dir,
+        self.seen = SeenSet(spill_dir=spill_dir,
                             max_resident_keys=max_resident_keys)
 
     def insert_batch(self, keys: np.ndarray) -> np.ndarray:
         return self.seen.insert_batch(keys)
-
-    def contains_batch(self, keys: np.ndarray) -> np.ndarray:
-        return self.seen.contains_batch(keys)
 
     def size(self) -> int:
         return len(self.seen)
@@ -504,16 +482,11 @@ class SeenShardActor:
     def load_segment(self, path: str) -> int:
         return self.seen.load_segment(path)
 
-    def dump(self) -> set[int]:
-        """Verification helper (small scales only)."""
-        return set(self.seen.exact)
-
 
 class ShardedSeenSet:
     """Driver-side facade: batches keys per shard, one ray call per shard."""
 
-    def __init__(self, n_shards: int, capacity_per_shard: int = 1 << 16,
-                 spill_dir: str | None = None,
+    def __init__(self, n_shards: int, spill_dir: str | None = None,
                  max_resident_keys: int = 1 << 22,
                  shards: list | None = None):
         """``shards``: ``n_shards`` existing actors to reuse instead of
@@ -523,8 +496,7 @@ class ShardedSeenSet:
         (empty for new actors)."""
         self.n_shards = n_shards
         args = [
-            (i, capacity_per_shard,
-             os.path.join(spill_dir, f"shard-{i:04d}") if spill_dir else None,
+            (i, os.path.join(spill_dir, f"shard-{i:04d}") if spill_dir else None,
              max_resident_keys)
             for i in range(n_shards)
         ]
@@ -574,9 +546,6 @@ class ShardedSeenSet:
             for i, s in enumerate(self.shards)
         ]
 
-    def flush_segments(self, dir_path: str, wave: int) -> None:
-        ray.get(self.flush_segments_async(dir_path, wave))
-
     def load_segments(self, dir_path: str, max_wave: int | None = None) -> int:
         """Load segments, optionally only those from waves <= max_wave (an
         orphan segment from a wave that never committed its manifest must NOT
@@ -596,10 +565,3 @@ class ShardedSeenSet:
         for n in ray.get(refs):
             total += n
         return total
-
-    def all_hashes(self) -> set[int]:
-        """Test/verification helper: union of exact sets (small scales only)."""
-        out: set[int] = set()
-        for s in ray.get([s.dump.remote() for s in self.shards]):
-            out |= s
-        return out
