@@ -282,6 +282,91 @@ def test_no_naked_np_round():
         + ", ".join(offenders))
 
 
+def test_crawl_pipeline_stays_split():
+    """Structure meta-test: the crawl is split into parts that take their
+    state as arguments (restore, corpus broadcast, seed waves, wave
+    controller, job runner, finalizer). No function in pipelines/crawl.py
+    grows past 150 lines, and none shares state through ``nonlocal`` or
+    ``global``."""
+    import ast
+    import pathlib
+
+    path = (pathlib.Path(__file__).resolve().parents[1]
+            / "wikicrawl" / "pipelines" / "crawl.py")
+    tree = ast.parse(path.read_text())
+    long_fns = [f"{n.name} ({n.end_lineno - n.lineno + 1} lines)"
+                for n in ast.walk(tree)
+                if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and n.end_lineno - n.lineno + 1 > 150]
+    assert not long_fns, "functions over 150 lines: " + ", ".join(long_fns)
+    shared = [f"line {n.lineno}" for n in ast.walk(tree)
+              if isinstance(n, (ast.Nonlocal, ast.Global))]
+    assert not shared, "nonlocal/global in crawl.py at " + ", ".join(shared)
+
+
+def test_laps_are_one_record(corpus, ray_session):
+    """``metrics["timings"]`` is derived from the timeline: each lap equals
+    its spans' rounded sum, and every span lies within the crawl's wall.
+    Throughput mode with discovery and two writer threads, so concurrent
+    jobs record laps at once and the tail drain runs."""
+    import shutil
+    import time
+
+    out = OUT + "_laps"
+    shutil.rmtree(out, ignore_errors=True)
+    t0 = time.time()
+    res = crawl(CrawlConfig(corpus_dir=corpus, out_dir=out, entity_wave=64,
+                            strict_order=False, discover_links=True,
+                            write_workers=2))
+    wall = time.time() - t0
+    timings, timeline = res.metrics["timings"], res.metrics["timeline"]
+    assert timeline
+    sums: dict = {}
+    for name, start, end in timeline:
+        assert 0 <= start <= end <= wall + 1e-3, (name, start, end, wall)
+        sums[name] = sums.get(name, 0.0) + (end - start)
+    laps = {k: v for k, v in timings.items() if k not in ("task_cpu", "task_wall")}
+    assert laps == {k: round(v, 2) for k, v in sums.items()}
+    assert timings["task_wall"] > 0
+    shutil.rmtree(out, ignore_errors=True)
+
+
+def test_ledger_keeps_every_update_under_threads():
+    """Writer threads record laps, counters and task times at once: the
+    ledger's one lock must lose none of them."""
+    import sys
+    import threading
+    import time
+
+    from wikicrawl.pipelines.crawl import _Ledger
+
+    ledger = _Ledger({"fetched": 0})
+
+    def work():
+        for _ in range(2000):
+            t0 = time.time()
+            ledger.add(0, {"fetched": 1}, {"movie/en": 1})
+            ledger.add_task_times(0.5, 1.0)
+            ledger.lap("job_exec", t0)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old)
+    totals = ledger.commit(0)
+    assert totals["fetched"] == 16000
+    assert totals["page_counters"] == {"movie/en": 16000}
+    assert len(ledger.spans) == 16000
+    assert (ledger.task_cpu, ledger.task_wall) == (8000.0, 16000.0)
+
+
 def test_round_half_away_matches_sql_round():
     """Pin the helper's semantics against DuckDB round() on a grid that
     includes exact half-cent values of BOTH signs — the inputs where

@@ -32,6 +32,21 @@ crawl's arguments (a new pair only when none matches), and hands it back
 emptied after its last call, or kills it if the crawl failed
 (state/placement.py).
 
+Code layout: ``crawl()`` leases the state plane and ``_run_crawl`` wires
+the parts, each taking its state as arguments, inside one try/finally that
+joins every writer, commit and stager:
+
+- ``_restore``: resume from the last manifest;
+- ``_broadcast_corpus``: the corpus tables as Ray objects, read by tasks;
+- ``_seed_waves``: the owned, resolved seed stream cut into waves;
+- ``_WaveController``: the driver — seed admission, frontier emission,
+  FIFO manifest commits;
+- ``_run_job``, the job runner: one emitted batch in a writer thread —
+  crawl-log segment, fused fetch tasks, link admission;
+- ``_finalize``: stagers, bytes shuffle, merges.
+
+Counters and spans of every part go to one ``_Ledger``.
+
 Scale notes: per-wave cost is O(wave), staging + merges are O(total) once; the
 entity stream never materializes as a driver list; bytes move from their
 source to disk exactly once; no all-to-all exchange anywhere in the write
@@ -46,11 +61,17 @@ enforced by the frontier's sorted runs.
 
 from __future__ import annotations
 
+import copy
+import glob
 import os
 import shutil
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -59,6 +80,7 @@ import ray.data as rd
 
 from wikicrawl import schema as S
 from wikicrawl.checkpoint import CheckpointLog
+from wikicrawl.families import LANGS
 from wikicrawl.pipelines.bytes_shuffle import (
     empty_images_table,
     read_staging_file,
@@ -66,6 +88,7 @@ from wikicrawl.pipelines.bytes_shuffle import (
     shuffle_image_bytes_to_parts,
 )
 from wikicrawl.stages.crawl_stages import (
+    RESOLVED_SCHEMA,
     AttachBytes,
     _attach_from,
     payload_to_entity_images,
@@ -75,7 +98,11 @@ from wikicrawl.stages.crawl_stages import (
     payload_to_sections,
 )
 from wikicrawl.state.frontier import ShardedFrontier
-from wikicrawl.state.placement import lease_state_plane, release_state_plane
+from wikicrawl.state.placement import (
+    driver_affinity_options,
+    lease_state_plane,
+    release_state_plane,
+)
 from wikicrawl.state.seen import ShardedSeenSet
 from wikicrawl.state.table import KeyedTable, key_partition
 
@@ -148,10 +175,11 @@ _SPREAD = {"scheduling_strategy": "SPREAD"}
 
 @ray.remote
 def _read_row_groups(path: str, groups: list) -> pa.Table:
-    """One shard of the pages-corpus broadcast: read a contiguous
-    row-group range; the returned table lands in plasma from THIS worker
-    (parallel read + parallel put — the driver never copies the corpus).
-    combine_chunks so downstream per-row lookups are O(1) per element."""
+    """One shard of a corpus broadcast (_broadcast_corpus): read a
+    contiguous row-group range; the returned table lands in plasma from
+    THIS worker (parallel read + parallel put — the driver never copies the
+    corpus). combine_chunks so downstream per-row lookups (and the merge
+    tasks' ``take`` on the images' binary column) are O(1) per element."""
     return pq.ParquetFile(path).read_row_groups(groups).combine_chunks()
 
 
@@ -587,219 +615,200 @@ def crawl(cfg: CrawlConfig) -> CrawlResult:
         release_state_plane(seen, frontier, finished)
 
 
-def _run_crawl(cfg: CrawlConfig, robots: dict, seen: ShardedSeenSet,
-               frontier: ShardedFrontier) -> CrawlResult:
-    import copy as _copy
-    import glob as _glob
-    import threading
-    import time as _time
-    from concurrent.futures import ThreadPoolExecutor
+class _Ledger:
+    """A crawl's counters and spans, behind one lock.
 
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    ckpt = CheckpointLog(cfg.out_dir)
-    m = ckpt.latest() if cfg.resume else None
-    if m is None:
-        # a fresh run, or a resume that crashed before its first commit:
-        # nothing is durable, so stale deltas / log segments from a dead
-        # attempt must not leak into this one
-        _reset_dirs(os.path.join(cfg.out_dir, sub) for sub in _RUN_DIRS)
+    Counters accrue per wave and fold into the committed totals strictly in
+    wave order, at manifest commit: a wave's manifest reflects exactly the
+    waves up to it, never a concurrent later wave's counts (ADVICE r1).
+    Spans are (name, start, end) seconds from crawl start for the driver
+    laps and every background job — the wall not covered by any in-flight
+    fetch job is the true serial fraction, which lap sums cannot show.
+    ``timings()`` sums the spans per name."""
 
-    tables = open_tables(cfg.out_dir, cfg.n_table_partitions)
-    stage_specs = {
-        name: (os.path.join(tbl.path, "staging"), tbl.key, tbl.n_partitions)
-        for name, tbl in tables.items()
-    }
-    # staging is run-scoped derived state too: cleared on every start
-    _reset_dirs(staging for staging, _, _ in stage_specs.values())
-    # fetch tasks of one wave that can run at once: slicing a wave finer
-    # than the cluster has CPUs runs the slices one after another and only
-    # adds each task's fixed cost; finalize runs one stager per slot too
-    fetch_slots = max(1, min(cfg.fetch_concurrency,
-                             int(ray.cluster_resources().get("CPU", 1))))
-    log_dir = os.path.join(cfg.out_dir, "crawl_log")
-    retry_dir = os.path.join(cfg.out_dir, "retry")
-    seen_dir = os.path.join(cfg.out_dir, "seen_segments")
-    payload_dir = os.path.join(cfg.out_dir, "payload")
-    adm_dir = os.path.join(cfg.out_dir, "admissions")
+    def __init__(self, committed: dict):
+        self._lock = threading.Lock()
+        self._t_zero = time.time()
+        self._deltas: dict[int, dict] = {}
+        self.committed = committed
+        self.spans: list[tuple[str, float, float]] = []
+        self.task_cpu = 0.0
+        self.task_wall = 0.0
 
-    seq = 0
-    wave = 0
-    watermark = (-1, -1)  # (family_rank, seed_order) of last processed entity
-    metrics = {
-        "requests": 0, "fetched": 0, "no_sitelink": 0, "transient": 0,
-        "url_dups": 0, "entities": 0,
-    }
-    timings: dict[str, float] = {}
-    # (name, start, end) spans relative to crawl start for the driver laps
-    # and every background job — the wall not covered by any in-flight
-    # fetch job is the true serial fraction, which lap sums cannot show
-    timeline: list[tuple[str, float, float]] = []
-    _t_zero = _time.time()
-
-    def _lap(key: str, t0: float) -> float:
-        t1 = _time.time()
-        timings[key] = timings.get(key, 0.0) + (t1 - t0)
-        timeline.append((key, round(t0 - _t_zero, 3), round(t1 - _t_zero, 3)))
+    def lap(self, name: str, t0: float) -> float:
+        """Record the span from ``t0`` to now under ``name``; returns now."""
+        t1 = time.time()
+        span = (name, round(t0 - self._t_zero, 3), round(t1 - self._t_zero, 3))
+        with self._lock:
+            self.spans.append(span)
         return t1
 
-    if m is not None:
-        wave = m["wave"] + 1
-        seq = m["seq"]
-        watermark = tuple(m["watermark"])
-        metrics.update(m["metrics"])
-        seen.load_segments(seen_dir, max_wave=m["wave"])
-        # ---- admission-WAL replay (ADVICE r1) -----------------------
-        # Every admitted row was journaled under admissions/ by the
-        # wave that admitted it (seed admissions synchronously on the
-        # driver; link admissions inside the wave's job, which the
-        # FIFO commit gate waits for). Frontier backlog on resume =
-        # journaled admissions of committed waves MINUS the durable
-        # crawl log — re-pushed directly (never re-admitted). Journal
-        # files and log segments from waves that never committed are
-        # dropped first.
-        for name in list(os.listdir(adm_dir)):
-            try:
-                w = int(name.split("-")[1])
-            except (IndexError, ValueError):
-                continue
-            if w > m["wave"]:
-                os.remove(os.path.join(adm_dir, name))
-        for name in list(os.listdir(log_dir)):
-            if not name.endswith(".parquet"):
-                continue
-            try:
-                s0 = int(name.split("-")[1].split(".")[0])
-            except (IndexError, ValueError):
-                continue
-            if s0 > m["seq"]:  # wave never committed: its emission replays
-                os.remove(os.path.join(log_dir, name))
-        adm_files = sorted(
-            os.path.join(adm_dir, f)
-            for f in os.listdir(adm_dir)
-            if f.endswith(".parquet")
-        )
-        if adm_files:
-            # STREAMING anti-join (VERDICT r2 item 5): at 10^10
-            # admissions neither the journal nor the crawl log fits
-            # the driver. The log's url_hashes stream into a bounded-
-            # RAM exact probe (the SeenSet's own spill-run machinery:
-            # sorted runs with per-run filters, spilled to disk and
-            # probed via memmap); admission files then stream
-            # through it one wave-file at a time. Driver memory is
-            # O(resident budget), never O(log + journal).
-            from wikicrawl.state.seen import SeenSet as _ProbeSet
+    def add(self, wave: int, counters: dict | None = None,
+            page_counters: dict | None = None) -> None:
+        with self._lock:
+            d = self._deltas.setdefault(wave, {"page_counters": {}})
+            for k, v in (counters or {}).items():
+                d[k] = d.get(k, 0) + v
+            for k, v in (page_counters or {}).items():
+                d["page_counters"][k] = d["page_counters"].get(k, 0) + v
 
-            probe_dir = os.path.join(cfg.out_dir, "_resume_probe")
-            probe = _ProbeSet(spill_dir=probe_dir, max_resident_keys=1 << 22)
-            for name in sorted(os.listdir(log_dir)):
-                if name.endswith(".parquet"):
-                    h = pq.read_table(
-                        os.path.join(log_dir, name), columns=["url_hash"]
-                    )["url_hash"].to_numpy(zero_copy_only=False)
-                    probe.insert_batch(h.astype(np.uint64))
-            for f in adm_files:
-                adm = pq.read_table(f)
-                adm_h = adm["url_hash"].to_numpy(
-                    zero_copy_only=False).astype(np.uint64)
-                # seen segments can lag job-side admissions by one
-                # flush; the journal is authoritative — make the seen
-                # set complete
-                seen.insert_batch(adm_h)
-                pend = adm.filter(pa.array(~probe.contains_batch(adm_h)))
-                if pend.num_rows:
-                    frontier.push_table(pend)
-            shutil.rmtree(probe_dir, ignore_errors=True)
-        # drop any payload deltas beyond the last committed wave (an
-        # interrupted wave replays into a fresh, consistent delta)
-        for name in os.listdir(payload_dir):
-            try:
-                w = int(name.split("-")[1])
-            except (IndexError, ValueError):
-                continue
-            if w >= wave:
-                shutil.rmtree(os.path.join(payload_dir, name), ignore_errors=True)
+    def add_task_times(self, cpu: float, wall: float) -> None:
+        with self._lock:
+            self.task_cpu += cpu
+            self.task_wall += wall
 
-    # broadcast the corpus tables ONCE; every task gets them zero-copy.
-    # The images table (binary payload) broadcasts only below the size
-    # limit; above it finalize co-partitions the bytes straight from
-    # images.parquet (pipelines/bytes_shuffle.py, VERDICT r1 item 4).
-    _t_setup = _time.time()
-    # corpus broadcasts: sitelinks are needed immediately (resolve); the
-    # pages HTML and image-bytes tables are only touched by the first
-    # fetch job / the finalize merges, so their reads + ray.puts overlap
-    # the seed-dedup + resolve warmup in background threads (setup_refs
-    # was a ~4 s serial fraction at 120k that did not scale with CPUs)
+    def commit(self, wave: int) -> dict:
+        """Fold ``wave``'s counters into the committed totals (the single
+        commit worker calls this in wave order); returns a deep copy for
+        its manifest."""
+        with self._lock:
+            for k, v in self._deltas.pop(wave, {"page_counters": {}}).items():
+                if k == "page_counters":
+                    pcs = self.committed.setdefault("page_counters", {})
+                    for pk, pv in v.items():
+                        pcs[pk] = pcs.get(pk, 0) + pv
+                else:
+                    self.committed[k] = self.committed.get(k, 0) + v
+            return copy.deepcopy(self.committed)
+
+    def timings(self) -> dict:
+        sums: dict[str, float] = {}
+        for name, t0, t1 in self.spans:
+            sums[name] = sums.get(name, 0.0) + (t1 - t0)
+        sums.update(task_cpu=self.task_cpu, task_wall=self.task_wall)
+        return {k: round(v, 2) for k, v in sums.items()}
+
+
+@dataclass
+class _Run:
+    """What the parts of one running crawl share: its config, state plane,
+    corpus broadcasts and ledger. Only ``next_link_order`` changes, under
+    ``link_lock``."""
+
+    cfg: CrawlConfig
+    robots: dict
+    seen: ShardedSeenSet
+    frontier: ShardedFrontier
+    ledger: _Ledger
+    fetch_slots: int
+    sitelinks: ray.ObjectRef
+    pages: tuple
+    link_lock: threading.Lock = field(default_factory=threading.Lock)
+    next_link_order: int = 0
+
+    def path(self, sub: str) -> str:
+        return os.path.join(self.cfg.out_dir, sub)
+
+
+def _drop_after(dir_path: str, limit: int) -> None:
+    """Delete every entry of ``dir_path`` named ``<kind>-<n>...`` with
+    ``n > limit`` (journal files and payload dirs by wave, crawl-log
+    segments by first seq)."""
+    for name in os.listdir(dir_path):
+        try:
+            n = int(name.split("-")[1].split(".")[0])
+        except (IndexError, ValueError):
+            continue
+        if n > limit:
+            path = os.path.join(dir_path, name)
+            if os.path.isdir(path):
+                shutil.rmtree(path, ignore_errors=True)
+            else:
+                os.remove(path)
+
+
+def _restore(cfg: CrawlConfig, m: dict, seen: ShardedSeenSet,
+             frontier: ShardedFrontier) -> None:
+    """Resume from manifest ``m``: reload the seen segments, drop what
+    waves that never committed left behind, and replay the admission WAL.
+
+    Every admitted row was journaled under admissions/ by the wave that
+    admitted it (seed admissions synchronously on the driver; link
+    admissions inside the wave's job, which the FIFO commit gate waits
+    for). Frontier backlog on resume = journaled admissions of committed
+    waves MINUS the durable crawl log — re-pushed directly (never
+    re-admitted). An interrupted wave's emission and payload delta replay
+    fresh."""
+    out = cfg.out_dir
+    log_dir = os.path.join(out, "crawl_log")
+    adm_dir = os.path.join(out, "admissions")
+    seen.load_segments(os.path.join(out, "seen_segments"), max_wave=m["wave"])
+    _drop_after(adm_dir, m["wave"])
+    _drop_after(log_dir, m["seq"])
+    _drop_after(os.path.join(out, "payload"), m["wave"])
+    adm_files = sorted(f for f in os.listdir(adm_dir) if f.endswith(".parquet"))
+    if not adm_files:
+        return
+    # STREAMING anti-join (VERDICT r2 item 5): at 10^10 admissions neither
+    # the journal nor the crawl log fits the driver. The log's url_hashes
+    # stream into a bounded-RAM exact probe (the SeenSet's own spill-run
+    # machinery: sorted runs with per-run filters, spilled to disk and
+    # probed via memmap); admission files then stream through it one
+    # wave-file at a time. Driver memory is O(resident budget), never
+    # O(log + journal).
+    from wikicrawl.state.seen import SeenSet
+
+    probe_dir = os.path.join(out, "_resume_probe")
+    probe = SeenSet(spill_dir=probe_dir, max_resident_keys=1 << 22)
+    for name in sorted(os.listdir(log_dir)):
+        if name.endswith(".parquet"):
+            h = pq.read_table(os.path.join(log_dir, name), columns=["url_hash"])
+            probe.insert_batch(
+                h["url_hash"].to_numpy(zero_copy_only=False).astype(np.uint64))
+    for name in adm_files:
+        adm = pq.read_table(os.path.join(adm_dir, name))
+        adm_h = adm["url_hash"].to_numpy(zero_copy_only=False).astype(np.uint64)
+        # seen segments can lag job-side admissions by one flush; the
+        # journal is authoritative — make the seen set complete
+        seen.insert_batch(adm_h)
+        pend = adm.filter(pa.array(~probe.contains_batch(adm_h)))
+        if pend.num_rows:
+            frontier.push_table(pend)
+    shutil.rmtree(probe_dir, ignore_errors=True)
+
+
+def _broadcast_corpus(cfg: CrawlConfig) -> tuple:
+    """Broadcast the corpus tables ONCE; every task gets them zero-copy.
+    Returns ``(sitelinks_ref, pages_refs, images_arg)``.
+
+    Sitelinks are needed at once (resolve), so the driver puts them. The
+    pages HTML (~1 GiB in memory at 120k entities) is read by one Ray task
+    per contiguous row-group range: each shard lands in plasma from its
+    OWN worker (parallel read and put, no driver copy) while seed dedup
+    and resolve run, and _cached_wiki reassembles the shards with a
+    zero-copy concat. The images table (binary payload) is one read task
+    below ``images_broadcast_limit_bytes``, as ``("ref", ref)`` (nested so
+    Ray does not deref it into every merge task); above the limit
+    ``images_arg`` is None and finalize co-partitions the bytes straight
+    from images.parquet (pipelines/bytes_shuffle.py, VERDICT r1 item 4).
+
+    The read tasks run on the driver's node, so the broadcasts live there
+    as a driver ``ray.put`` would. On a lost worker node, fetch tasks
+    blocked on a lost broadcast hold every CPU while its reconstruction
+    waits for one (seen deadlocked in scripts/node_death_smoke.py)."""
+    read = _read_row_groups.options(**driver_affinity_options())
+    pages_path = os.path.join(cfg.corpus_dir, "pages_html.parquet")
+    pages = tuple(read.remote(pages_path, r) for r in row_group_ranges(pages_path))
     images_path = os.path.join(cfg.corpus_dir, "images.parquet")
-    _bc: dict = {}
+    images_arg = None
+    if os.path.getsize(images_path) <= cfg.images_broadcast_limit_bytes:
+        groups = list(range(pq.ParquetFile(images_path).metadata.num_row_groups))
+        images_arg = ("ref", read.remote(images_path, groups))
+    sitelinks = ray.put(
+        pq.read_table(os.path.join(cfg.corpus_dir, "sitelinks.parquet")))
+    return sitelinks, pages, images_arg
 
-    def _load_images():
-        if os.path.getsize(images_path) <= cfg.images_broadcast_limit_bytes:
-            # combine_chunks once: every merge task `take`s from this
-            # table, and take on a many-chunked binary column pays a
-            # per-element chunk search
-            _bc["images"] = ("ref", ray.put(
-                pq.read_table(images_path).combine_chunks()))
 
-    def _load_pages():
-        # The pages table is the big broadcast (~1 GiB in memory at 120k
-        # entities): a driver-side read + put was a ~6 s serial ramp that
-        # stalled the first fetch waves. Fan the read out over one Ray
-        # task per contiguous row-group range instead — each shard lands
-        # in plasma from its OWN worker (parallel read AND parallel put,
-        # no driver copy), and _cached_wiki reassembles the shards with a
-        # zero-copy concat. Single-row-group files (older corpora) keep
-        # the driver path; combine_chunks first (a multi-chunk 1 GiB
-        # table measured 2.9 s to put vs 0.5 s single-chunk).
-        path = os.path.join(cfg.corpus_dir, "pages_html.parquet")
-        ranges = row_group_ranges(path)
-        if len(ranges) > 1:
-            _bc["pages"] = tuple(
-                _read_row_groups.remote(path, r) for r in ranges
-            )
-        else:
-            _bc["pages"] = (ray.put(pq.read_table(path).combine_chunks()),)
+def _count_eq(col, value) -> int:
+    return int(pc.sum(pc.cast(pc.equal(col, value), pa.int64())).as_py() or 0)
 
-    _bc_threads = [
-        threading.Thread(target=_load_images, daemon=True),
-        threading.Thread(target=_load_pages, daemon=True),
-    ]
-    for t in _bc_threads:
-        t.start()
-    sitelinks_ref = ray.put(
-        pq.read_table(os.path.join(cfg.corpus_dir, "sitelinks.parquet"))
-    )
 
-    def pages_ref_get():
-        _bc_threads[1].join()
-        return _bc["pages"]
-
-    def images_arg_get():
-        """The broadcast ``("ref", ...)`` form, or None above the limit."""
-        _bc_threads[0].join()
-        return _bc.get("images")
-
-    _lap("setup_refs", _t_setup)
-
-    # ---- single streaming resolve job over the whole owned seed stream ----
-    # Round-1 ran one BLOCKING resolver job per wave: at 30k entities the
-    # per-wave job launches + driver `ray.get` syncs were a ~6 s serial
-    # fraction that did not scale with CPUs. Now resolution is ONE Ray Data
-    # streaming execution for the entire run: the driver consumes resolved
-    # blocks in seed order while Ray keeps resolving ahead — resolve
-    # overlaps admission, fetch and writes of earlier waves.
-    #
-    # Ordering comes from windowed raw resolve tasks consumed in index
-    # order (_resolved_stream), NOT from execution_options.preserve_order:
-    # that flag is global to the DataContext, so round-2's use of it also
-    # forced ordered execution on EVERY per-wave fetch job (head-of-line
-    # blocking on the slowest fetch task — a non-scaling term at 32 cpus).
-    _t_setup = _time.time()
-    from ray.data import DataContext
-
-    DataContext.get_current().execution_options.preserve_order = False
+def _seed_slices(cfg: CrawlConfig, watermark: tuple) -> list[pa.Table]:
+    """The owned seeds past the resume watermark, scoped to
+    ``cfg.families`` / ``cfg.only_qids``, as resolve-task slices."""
     slice_rows = cfg.entity_wave if cfg.strict_order else min(1024, cfg.entity_wave)
     fam_set = set(cfg.families) if cfg.families is not None else None
-    seed_slices = []
+    slices = []
     for sl in owned_seed_batches(cfg.corpus_dir, slice_rows):
         if watermark != (-1, -1):
             wm_rank, wm_order = watermark
@@ -822,488 +831,496 @@ def _run_crawl(cfg: CrawlConfig, robots: dict, seen: ShardedSeenSet,
                 value_set=pa.array(sorted(cfg.only_qids), type=pa.string()),
             ))
         if sl.num_rows:
-            seed_slices.append(sl)
-    _lap("seed_dedup", _t_setup)
+            slices.append(sl)
+    return slices
 
-    _t_setup = _time.time()
-    if seed_slices:
-        resolved_iter = _resolved_stream(seed_slices, sitelinks_ref, robots)
-    else:
-        resolved_iter = iter(())
 
-    def resolved_waves():
-        """Group the ordered resolved stream into entity-aligned waves.
+def _seed_waves(cfg: CrawlConfig, slices: list, sitelinks_ref, robots):
+    """Resolve the seed slices in one streaming pass and group the ordered
+    resolved stream into entity-aligned ``(n_entities, table)`` waves.
 
-        Throughput mode ramps the first waves (wave/8, doubling up to the
-        configured size): the first fetch job launches after ~wave/8
-        entities resolve instead of a full wave — the timeline showed the
-        first-wave resolve wait as the largest serial ramp-in term (the
-        cluster is idle until the first job's fan-out). Strict mode keeps
-        fixed waves: the parity oracle's chunk-serial schedule depends on
-        the wave boundaries."""
-        buf, ents = [], 0
-        target = cfg.entity_wave if cfg.strict_order else max(
-            cfg.entity_wave // 8, 256
-        )
-        for tbl in resolved_iter:
-            if tbl.num_rows == 0:
-                continue
-            buf.append(tbl)
-            ents += int(
-                pc.sum(pc.cast(pc.equal(tbl["lang_rank"], 0), pa.int64())).as_py() or 0
-            )
-            if ents >= target:
-                yield ents, pa.concat_tables(buf)
-                buf, ents = [], 0
-                target = min(target * 2, cfg.entity_wave)
-        if buf:
+    Resolution overlaps admission, fetch and writes of earlier waves: the
+    driver consumes resolved slices in seed order while Ray resolves ahead.
+    Ordering comes from windowed raw resolve tasks consumed in index order
+    (_resolved_stream), not from the DataContext's global preserve_order,
+    which would also force ordered execution on every fetch job.
+
+    Throughput mode ramps the first waves (wave/8, doubling up to the
+    configured size): the first fetch job launches after ~wave/8 entities
+    resolve instead of a full wave — the timeline showed the first-wave
+    resolve wait as the largest serial ramp-in term (the cluster is idle
+    until the first job's fan-out). Strict mode keeps fixed waves: the
+    parity oracle's chunk-serial schedule depends on the wave boundaries."""
+    buf, ents = [], 0
+    target = cfg.entity_wave if cfg.strict_order else max(cfg.entity_wave // 8, 256)
+    for tbl in _resolved_stream(slices, sitelinks_ref, robots):
+        if tbl.num_rows == 0:
+            continue
+        buf.append(tbl)
+        ents += _count_eq(tbl["lang_rank"], 0)
+        if ents >= target:
             yield ents, pa.concat_tables(buf)
+            buf, ents = [], 0
+            target = min(target * 2, cfg.entity_wave)
+    if buf:
+        yield ents, pa.concat_tables(buf)
 
-    _lap("seed_stream", _t_setup)
 
-    # background pipelining: up to `write_workers` wave writes in flight
-    # (independent delta dirs), while checkpoint commits stay FIFO in a
-    # single-worker pool, each gated on its own wave's write futures
-    pending: list = []
-    wave_write_futs: dict[int, list] = {}
+# ---- job runner: one emitted batch, in a writer thread ---------------------
+
+# the columns (and types) of an emitted batch the fetch tasks read
+_FETCH_IN = pa.schema([
+    ("family", pa.string()), ("family_rank", pa.int32()),
+    ("entity_id", pa.string()), ("wikidata_id", pa.string()),
+    ("seed_order", pa.int64()), ("lang", pa.string()),
+    ("lang_rank", pa.int32()), ("page_title", pa.string()),
+    ("depth", pa.int32()), ("seq", pa.int64()),
+])
+
+
+def _entity_slices(qids: list, batch: int) -> list[tuple[int, int]]:
+    """``[start, end)`` cuts of about ``batch`` rows. A slice never splits
+    an entity: its pages share one task and so one last_crawled_at stamp,
+    which recrawl_stale's entity-scoped refresh relies on to leave fresh
+    pages alone."""
+    starts = [0]
+    for i in range(batch, len(qids), batch):
+        while i < len(qids) and qids[i] == qids[i - 1]:
+            i += 1
+        if starts[-1] < i < len(qids):
+            starts.append(i)
+    return list(zip(starts, starts[1:] + [len(qids)]))
+
+
+def _run_job(run: _Run, full: pa.Table, wave: int, seq_start: int) -> None:
+    """Write the batch's crawl-log segment, fan it out as FUSED raw fetch
+    tasks (fetch+extract, link candidates, delta part write and counter
+    aggregation all happen inside the task; this only folds the returned
+    counters), then admit the discovered links. The raw tasks replaced a
+    per-wave Ray Data micro-job in round 3: its serial from_arrow puts and
+    per-execution streaming-executor overhead were a measured FIXED cost
+    per wave (~1-2 s) that did not scale with CPUs."""
+    cfg, ledger = run.cfg, run.ledger
+    t0 = time.time()
+    # segment named by its first seq: deterministic, replay-safe
+    pq.write_table(
+        full.select(S.CRAWL_LOG.names).cast(S.CRAWL_LOG),
+        os.path.join(run.path("crawl_log"), f"seg-{seq_start:09d}.parquet"),
+    )
+    t1 = ledger.lap("job_log_write", t0)
+    wave_tbl = full.select(_FETCH_IN.names).cast(_FETCH_IN)
+    delta = os.path.join(run.path("payload"), f"wave-{wave:06d}-{seq_start:09d}")
+    os.makedirs(delta, exist_ok=True)
+    # spread every wave evenly over the fetch slots: a wave smaller than
+    # fetch_batch x slots (a strict-order tick, a ramp wave, a short tail)
+    # still runs one task per slot; fetch_batch is a ceiling, not a floor
+    batch = max(1, min(cfg.fetch_batch, -(-wave_tbl.num_rows // run.fetch_slots)))
+    refs = [
+        _fetch_slice_task.options(**_SPREAD).remote(
+            wave_tbl.slice(i, j - i).combine_chunks(),
+            (run.sitelinks,), (run.pages,),
+            os.path.join(delta, f"part-{pi:05d}.parquet"),
+            run.robots if cfg.discover_links else None,
+            cfg.discover_links,
+        )
+        for pi, (i, j) in enumerate(
+            _entity_slices(wave_tbl["wikidata_id"].to_pylist(), batch))
+    ]
+    t1 = ledger.lap("job_setup", t1)
+    results = ray.get(refs)
+    ledger.lap("job_exec", t1)
+    ledger.add_task_times(sum(r[3][0] for r in results),
+                          sum(r[3][1] for r in results))
+    pages_cnt: dict[str, int] = {}
+    for r in results:
+        for k, c in r[2]:
+            pages_cnt[k] = pages_cnt.get(k, 0) + c
+    ledger.add(wave, {"requests": sum(r[1] for r in results)}, pages_cnt)
+    if cfg.discover_links:
+        _admit_links(run, delta, wave)
+    ledger.lap("fetch_extract_write", t0)
+
+
+def _link_rows(delta: str, max_depth: int | None) -> tuple[pa.Table | None, int]:
+    """A freshly-written delta's link candidates as frontier rows at rank
+    99, and the number of robots-blocked ones (None for rows when no
+    candidate is left).
+
+    Canonicalization, robots gating, hashing and LNK-id derivation all
+    happened INSIDE the fetch tasks (``make_link_candidates_fn``); here
+    everything is vectorized Arrow: flatten the per-page candidate lists in
+    crawl order, first-occurrence dedup by url hash, drop links beyond the
+    depth budget and robots-blocked urls. The BFS discovery order (_seq,
+    then document position) is preserved by the _seq sort +
+    order-preserving list flatten."""
+    cols = ["lang", "links", "link_url", "link_host", "link_path",
+            "link_hash", "link_id", "link_ok", "depth", "_seq"]
+    t = pa.concat_tables([
+        read_staging_file(f, cols)
+        for f in sorted(glob.glob(os.path.join(delta, "part-*.parquet")))
+    ]).sort_by("_seq")
+    link_urls = t["link_url"].combine_chunks()
+    titles = pc.list_flatten(t["links"].combine_chunks())
+    parents = pc.list_parent_indices(link_urls)
+    urls = pc.list_flatten(link_urls)
+    if len(urls) == 0:
+        return None, 0
+    hashes_all = (pc.list_flatten(t["link_hash"].combine_chunks())
+                  .to_numpy(zero_copy_only=False).astype(np.uint64))
+    ok = (pc.list_flatten(t["link_ok"].combine_chunks())
+          .to_numpy(zero_copy_only=False).astype(bool))
+    child_depth = pc.add(
+        t["depth"].combine_chunks().take(parents), pa.scalar(1, pa.int32())
+    )
+    # wave-local first-occurrence dedup (the reference's `local` set),
+    # vectorized: keep the first row of each url hash in crawl order
+    first = ~pd.Series(hashes_all).duplicated().to_numpy()
+    if max_depth is not None:
+        # depth budget: links beyond the BFS tier never enter the
+        # local-dedup/robots accounting (they are simply not candidates)
+        first &= child_depth.to_numpy(zero_copy_only=False) <= max_depth
+    n_robots = int((first & ~ok).sum())
+    keep = first & ok
+    if not keep.any():
+        return None, n_robots
+    keep_arr = pa.array(keep)
+    lang_parent = t["lang"].combine_chunks().take(parents)
+    lang_rank_parent = pa.array(
+        pd.Series(lang_parent.to_pandas())
+        .map({l: i for i, l in enumerate(LANGS)})
+        .fillna(0).astype(np.int32)
+    )
+    ids = pc.filter(pc.list_flatten(t["link_id"].combine_chunks()), keep_arr)
+    n_kept = len(ids)
+    rows = pa.table(
+        {
+            "family": pa.array(["discovered"] * n_kept, type=pa.string()),
+            "family_rank": pa.array(np.full(n_kept, 99, dtype=np.int32),
+                                    type=pa.int32()),
+            "entity_id": ids,
+            "wikidata_id": ids,
+            "seed_order": pa.array(np.zeros(n_kept, dtype=np.int64)),
+            "lang": pc.filter(lang_parent, keep_arr),
+            "lang_rank": pc.filter(lang_rank_parent, keep_arr),
+            "page_title": pc.filter(titles, keep_arr),
+            "canonical_url": pc.filter(urls, keep_arr),
+            "host": pc.filter(pc.list_flatten(t["link_host"].combine_chunks()), keep_arr),
+            "path": pc.filter(pc.list_flatten(t["link_path"].combine_chunks()), keep_arr),
+            "url_hash": pa.array(hashes_all[keep], type=pa.uint64()),
+            "status": pa.array(["resolved"] * n_kept, type=pa.string()),
+            "requests": pa.array(np.zeros(n_kept, dtype=np.int64)),
+            "depth": pc.cast(pc.filter(child_depth, keep_arr), pa.int32()),
+        },
+        schema=RESOLVED_SCHEMA,
+    )
+    return rows, n_robots
+
+
+def _admit_links(run: _Run, delta: str, wave: int) -> None:
+    """Link candidates of a freshly-written delta -> first-wins seen-set
+    admission -> journal -> frontier push at rank 99 (north_star link
+    discovery)."""
+    rows, n_robots = _link_rows(delta, run.cfg.max_link_depth)
+    if n_robots:
+        run.ledger.add(wave, {"robots_skipped": n_robots})
+    if rows is None:
+        return
+    hashes = rows["url_hash"].to_numpy(zero_copy_only=False)
+    with run.link_lock:  # admission + discovery-order assignment are atomic
+        new = run.seen.insert_batch(hashes)
+        n_new = int(new.sum())
+        start = run.next_link_order
+        run.next_link_order += n_new
+    run.ledger.add(wave, {"url_dups": int((~new).sum()), "discovered": n_new})
+    if not n_new:
+        return
+    admitted = rows.filter(pa.array(new))
+    admitted = admitted.set_column(
+        admitted.schema.get_field_index("seed_order"), "seed_order",
+        pa.array(np.arange(start, start + n_new), type=pa.int64()),
+    )
+    _journal(run.path("admissions"), admitted, wave,
+             f"links-{os.path.basename(delta)}")
+    run.frontier.push_table(admitted)
+
+
+def _journal(adm_dir: str, tbl: pa.Table, wave: int, tag: str) -> None:
+    """Admission WAL: every admission is journaled BEFORE its frontier
+    push — seed admissions synchronously on the driver, link admissions
+    inside the wave's job (whose completion gates the FIFO manifest
+    commit). Resume reconstructs the frontier backlog as journal(committed
+    waves) - crawl log: no admitted URL can be silently lost (ADVICE r1),
+    with no dependence on racing background pushes."""
+    path = os.path.join(adm_dir, f"adm-{wave:06d}-{tag}.parquet")
+    pq.write_table(tbl, path + ".tmp")
+    os.replace(path + ".tmp", path)
+
+
+# ---- wave controller: the driver ---------------------------------------------
+
+class _WaveController:
+    """The driver loop. Per wave, in this order of state-plane calls: seed
+    insert -> journal -> push -> pops -> watermark -> seen flush ->
+    snapshots -> ``seen.size()`` (the order keeps manifests and seen
+    segments reproducible). It owns the cursor (``wave``, ``seq``,
+    ``watermark``) and the futures in flight: up to ``write_workers`` jobs
+    (independent delta dirs), while manifest commits stay FIFO on a
+    single-worker pool, each gated on its own wave's jobs."""
+
+    def __init__(self, run: _Run, ckpt: CheckpointLog, cursor: tuple,
+                 writes: ThreadPoolExecutor, commits: ThreadPoolExecutor):
+        self.run, self.ckpt = run, ckpt
+        self.wave, self.seq, self.watermark = cursor
+        self.writes, self.commits = writes, commits
+        self.pending: list = []  # every job and commit, in submission order
+        self.wave_jobs: dict[int, list] = {}
+
+    def run_waves(self, waves) -> bool:
+        """Admit, emit and commit each seed wave. True when halted."""
+        cfg, run = self.run.cfg, self.run
+        # fault-injection hook (tests only): hard-kill ONE state-plane shard
+        # actor at the top of wave N — mid-run, with committed manifests
+        # behind it and an in-flight wave ahead. The crawl FAILS; the drill
+        # then proves resume=True restores exact parity from manifests +
+        # admission WAL + seen segments (scripts/shard_death_smoke.py)
+        kill_wave = os.environ.get("WIKICRAWL_KILL_SEEN_SHARD_WAVE")
+        t_prev = time.time()
+        for n_entities, res_tbl in waves:
+            run.ledger.lap("resolve", t_prev)
+            if kill_wave is not None and self.wave == int(kill_wave):
+                ray.kill(run.seen.shards[0], no_restart=True)
+            self.admit_seeds(n_entities, res_tbl)
+            # strict mode drains the frontier before the next wave
+            while True:
+                job = self.emit()
+                if job is not None and cfg.strict_order and cfg.discover_links:
+                    # deterministic BFS: the job pushes discovered links;
+                    # wait for it so the next pop sees them (parity schedule)
+                    job.result()
+                if not cfg.strict_order or run.frontier.backlog() == 0:
+                    break
+            last = res_tbl.slice(res_tbl.num_rows - 1, 1)
+            self.watermark = (last["family_rank"][0].as_py(),
+                              last["seed_order"][0].as_py())
+            self.close_wave()
+            if cfg.halt_after_waves is not None and self.wave >= cfg.halt_after_waves:
+                # simulate a crash: committed manifests + journal exist,
+                # frontier backlog and un-finalized deltas are abandoned
+                return True
+            if self.wave >= cfg.max_waves:
+                return False
+            t_prev = time.time()
+        return False
+
+    def admit_seeds(self, n_entities: int, res_tbl: pa.Table) -> None:
+        """Count the wave's resolve outcomes, park its transient failures
+        for retry, and admit its resolved urls first-wins. Robots was gated
+        in the resolver: a disallowed URL never reaches the seen set
+        (oracle semantics); the frontier re-checks at push."""
+        run, w = self.run, self.wave
+        status = res_tbl["status"]
+        n_transient = _count_eq(status, "transient")
+        run.ledger.add(w, {
+            "entities": n_entities,
+            "requests": int(pc.sum(res_tbl["requests"]).as_py() or 0),
+            "transient": n_transient,
+            "no_sitelink": _count_eq(status, "no_sitelink"),
+            "robots_skipped": _count_eq(status, "robots"),
+        })
+        if n_transient:
+            pq.write_table(
+                res_tbl.filter(pc.equal(status, "transient"))
+                .select(["family", "wikidata_id", "entity_id"]),
+                os.path.join(run.path("retry"), f"wave-{w:06d}.parquet"),
+            )
+        ready = res_tbl.filter(pc.equal(status, "resolved"))
+        if not ready.num_rows:
+            return
+        t0 = time.time()
+        new = run.seen.insert_batch(
+            ready["url_hash"].to_numpy(zero_copy_only=False).astype(np.uint64))
+        run.ledger.add(w, {"url_dups": int((~new).sum())})
+        admitted = ready.filter(pa.array(new))
+        t0 = run.ledger.lap("drv_seen", t0)
+        if admitted.num_rows:
+            _journal(run.path("admissions"), admitted, w, "seed")
+            t0 = run.ledger.lap("drv_journal", t0)
+            run.frontier.push_table(admitted)
+            run.ledger.lap("drv_fpush", t0)
+
+    def emit(self):
+        """Pop one frontier tick; a non-empty one gets its seqs and runs as
+        a background job of the current wave. Returns the job's future, or
+        None for an empty tick."""
+        run = self.run
+        t0 = time.time()
+        tbl = run.frontier.pop_wave_table(RESOLVED_SCHEMA)
+        run.ledger.lap("drv_fpop", t0)
+        if tbl is None or not tbl.num_rows:
+            return None
+        n, seq_start = tbl.num_rows, self.seq + 1
+        full = tbl.append_column(
+            "seq", pa.array(np.arange(seq_start, seq_start + n, dtype=np.int64)))
+        self.seq += n
+        run.ledger.add(self.wave, {"fetched": n})
+        job = self.writes.submit(_run_job, run, full, self.wave, seq_start)
+        self.pending.append(job)
+        self.wave_jobs.setdefault(self.wave, []).append(job)
+        return job
+
+    def close_wave(self) -> None:
+        """Flush the wave's seen segments and queue its manifest commit,
+        gated on the wave's jobs and that flush (an orphan segment without
+        its manifest is ignored on resume: load_segments max_wave); then
+        open the next wave."""
+        run, w = self.run, self.wave
+        t0 = time.time()
+        flush_refs = run.seen.flush_segments_async(run.path("seen_segments"), w)
+        run.ledger.lap("drv_seen_flush", t0)
+        manifest = {
+            "wave": w,
+            "seq": self.seq,  # this wave's emissions are already numbered
+            "watermark": list(self.watermark),
+            "frontier": run.frontier.snapshots(),
+            "seen_size": run.seen.size(),
+        }
+        self.pending.append(self.commits.submit(
+            _commit_wave, self.ckpt, run.ledger, manifest,
+            self.wave_jobs.pop(w, []), flush_refs))
+        self.wave += 1
+
+    def drain(self) -> None:
+        """Emit the remaining frontier backlog (throughput mode's tail), one
+        wave per non-empty tick. In-flight jobs may still DISCOVER links,
+        so an empty backlog ends the drain only once every pending job has
+        finished and it is still empty."""
+        frontier = self.run.frontier
+        while True:
+            if frontier.backlog() == 0:
+                self.join()
+                if frontier.backlog() == 0:
+                    return
+            if self.emit() is not None:
+                self.close_wave()
+
+    def join(self) -> None:
+        """Wait for every job and commit so far (propagates their errors)."""
+        for f in list(self.pending):
+            f.result()
+
+
+def _commit_wave(ckpt: CheckpointLog, ledger: _Ledger, manifest: dict,
+                 jobs: list, flush_refs: list) -> None:
+    for f in jobs:  # manifest only after this wave's writes landed
+        f.result()
+    ray.get(flush_refs)  # ... and after its seen segments are durable
+    manifest["metrics"] = ledger.commit(manifest["wave"])
+    ckpt.commit_wave(manifest["wave"], manifest)
+
+
+# ---- finalizer ---------------------------------------------------------------
+
+def _finalize(run: _Run, tables: dict, images_arg, clock: int,
+              stage_refs: list) -> int | None:
+    """Fold the payload deltas into the five keyed tables: stage every
+    committed delta part (this run's and, on resume, the earlier
+    attempt's) with one stager per fetch slot, each over a contiguous
+    share in path order, which is crawl order; co-partition the image
+    bytes when they were not broadcast; merge each staged partition.
+    ``stage_refs`` collects the stager refs for the caller's exit to wait
+    on. Returns the number of staging batches (None: nothing to stage)."""
+    ledger = run.ledger
+    t0 = time.time()
+    deltas = sorted(glob.glob(
+        os.path.join(run.path("payload"), "wave-*", "part-*.parquet")))
+    if not deltas:
+        return None
+    specs = {name: (os.path.join(tbl.path, "staging"), tbl.key, tbl.n_partitions)
+             for name, tbl in tables.items()}
+    n = min(run.fetch_slots, len(deltas))
+    cuts = [len(deltas) * i // n for i in range(n + 1)]
+    stage_refs.extend(
+        _stage_deltas_task.options(**_SPREAD).remote(deltas[a:b], specs)
+        for a, b in zip(cuts, cuts[1:]))
+    n_batches = sum(ray.get(stage_refs))
+    t0 = ledger.lap("finalize_stage", t0)
+    if images_arg is None:
+        # co-partition the binary corpus to the OUTPUT partitioning once
+        # instead of every merge task reading all of it
+        # (pipelines/bytes_shuffle.py: design + measurements)
+        images_arg = shuffle_image_bytes_to_parts(
+            tables["images_out"].path,
+            os.path.join(run.cfg.corpus_dir, "images.parquet"), run.cfg.out_dir)
+        t0 = ledger.lap("finalize_bytes_shuffle", t0)
+    _merge_staged(tables, images_arg, clock)
+    ledger.lap("finalize_merges", t0)
+    if images_arg[0] == "parts":
+        shutil.rmtree(images_arg[1], ignore_errors=True)
+    return n_batches
+
+
+def _run_crawl(cfg: CrawlConfig, robots: dict, seen: ShardedSeenSet,
+               frontier: ShardedFrontier) -> CrawlResult:
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    ckpt = CheckpointLog(cfg.out_dir)
+    m = ckpt.latest() if cfg.resume else None
+    if m is None:
+        # a fresh run, or a resume that crashed before its first commit:
+        # nothing is durable, so stale deltas / log segments from a dead
+        # attempt must not leak into this one
+        _reset_dirs(os.path.join(cfg.out_dir, sub) for sub in _RUN_DIRS)
+    tables = open_tables(cfg.out_dir, cfg.n_table_partitions)
+    # staging is run-scoped derived state too: cleared on every start
+    _reset_dirs(os.path.join(tbl.path, "staging") for tbl in tables.values())
+    # fetch tasks of one wave that can run at once: slicing a wave finer
+    # than the cluster has CPUs runs the slices one after another and only
+    # adds each task's fixed cost; finalize runs one stager per slot too
+    fetch_slots = max(1, min(cfg.fetch_concurrency,
+                             int(ray.cluster_resources().get("CPU", 1))))
+    ledger = _Ledger({
+        "requests": 0, "fetched": 0, "no_sitelink": 0, "transient": 0,
+        "url_dups": 0, "entities": 0, **(m["metrics"] if m else {}),
+    })
+    cursor = (0, 0, (-1, -1))  # wave, seq, watermark (family_rank, seed_order)
+    if m is not None:
+        cursor = (m["wave"] + 1, m["seq"], tuple(m["watermark"]))
+        _restore(cfg, m, seen, frontier)
+    t0 = time.time()
+    sitelinks, pages, images_arg = _broadcast_corpus(cfg)
+    t0 = ledger.lap("setup_refs", t0)
+    slices = _seed_slices(cfg, cursor[2])
+    ledger.lap("seed_dedup", t0)
+    run = _Run(cfg, robots, seen, frontier, ledger, fetch_slots, sitelinks, pages)
+    writes = ThreadPoolExecutor(max_workers=max(1, cfg.write_workers))
+    commits = ThreadPoolExecutor(max_workers=1)
+    ctl = _WaveController(run, ckpt, cursor, writes, commits)
     # finalize's stager tasks; the exit waits for every one of them, so no
     # staging write outlives crawl(), even when another stager failed
     stage_refs: list = []
-
-    metrics_lock = threading.Lock()
-    # per-wave metric DELTAS, merged into committed totals strictly FIFO at
-    # manifest-commit time: a wave's manifest reflects exactly waves <= it —
-    # never a concurrent later wave's counts (ADVICE r1); `metrics` (the
-    # resume-loaded totals) seeds the committed baseline
-    wave_deltas: dict[int, dict] = {}
-    committed_totals = {k: v for k, v in metrics.items() if k != "timings"}
-
-    def add_delta(w: int, counters: dict | None = None,
-                  page_counters: dict | None = None) -> None:
-        with metrics_lock:
-            d = wave_deltas.setdefault(w, {"page_counters": {}})
-            for k, v in (counters or {}).items():
-                d[k] = d.get(k, 0) + v
-            for k, v in (page_counters or {}).items():
-                d["page_counters"][k] = d["page_counters"].get(k, 0) + v
-
-    def merge_committed(w: int) -> dict:
-        """FIFO-only (single commit worker): fold wave w's delta into the
-        committed totals and return a deep snapshot for its manifest."""
-        with metrics_lock:
-            d = wave_deltas.pop(w, {"page_counters": {}})
-        for k, v in d.items():
-            if k == "page_counters":
-                pcs = committed_totals.setdefault("page_counters", {})
-                for pk, pv in v.items():
-                    pcs[pk] = pcs.get(pk, 0) + pv
-            else:
-                committed_totals[k] = committed_totals.get(k, 0) + v
-        return _copy.deepcopy(committed_totals)
-
-    from wikicrawl.stages.crawl_stages import RESOLVED_SCHEMA
-
-    def process_emitted(tbl: pa.Table, wave_clock: int):
-        nonlocal seq
-        seq_start = seq + 1
-        n = tbl.num_rows
-        full = tbl.append_column(
-            "seq", pa.array(np.arange(seq + 1, seq + n + 1, dtype=np.int64))
-        )
-        seq += n
-        add_delta(wave_clock, {"fetched": n})
-        # everything below (log write, casts, slicing, the fetch job, the
-        # delta write) runs in the BACKGROUND worker — the driver thread
-        # only assigned seqs; per-wave driver serial work is a few µs
-        delta = os.path.join(payload_dir, f"wave-{wave_clock:06d}-{seq_start:09d}")
-
-        def job():
-            jt0 = _time.time()
-            # segment named by its first seq: deterministic, replay-safe
-            pq.write_table(
-                full.select([f.name for f in S.CRAWL_LOG]).cast(S.CRAWL_LOG),
-                os.path.join(log_dir, f"seg-{seq_start:09d}.parquet"),
-            )
-            jt1 = _lap("job_log_write", jt0)
-            in_schema = pa.schema(
-                [
-                    ("family", pa.string()), ("family_rank", pa.int32()),
-                    ("entity_id", pa.string()), ("wikidata_id", pa.string()),
-                    ("seed_order", pa.int64()), ("lang", pa.string()),
-                    ("lang_rank", pa.int32()), ("page_title", pa.string()),
-                    ("depth", pa.int32()), ("seq", pa.int64()),
-                ]
-            )
-            wave_tbl = full.select([f.name for f in in_schema]).cast(in_schema)
-            # FUSED raw fetch tasks, one per slice: fetch+extract, link
-            # candidates, delta part write and counter aggregation all
-            # happen inside the task; the job only fans out and folds the
-            # returned counters. This replaced the per-wave Ray Data
-            # micro-job in round 3: its serial from_arrow puts +
-            # per-execution streaming-executor overhead were a measured
-            # FIXED cost per wave (~1-2 s) that did not scale with CPUs. The batch functions are unchanged map_batches bodies —
-            # only the scheduling substrate differs.
-            os.makedirs(delta, exist_ok=True)
-            refs = []
-            # spread every wave evenly over the fetch slots: a wave
-            # smaller than fetch_batch x slots (a strict-order tick, a
-            # ramp wave, a short tail) still runs one task per slot;
-            # fetch_batch is a ceiling on the slice, not a floor
-            eff_batch = max(1, min(
-                cfg.fetch_batch, -(-wave_tbl.num_rows // fetch_slots)))
-            # a slice never splits an entity: its pages share one task and
-            # so one last_crawled_at stamp, which recrawl_stale's
-            # entity-scoped refresh relies on to leave fresh pages alone
-            qids = wave_tbl["wikidata_id"].to_pylist()
-            starts = [0]
-            for i in range(eff_batch, len(qids), eff_batch):
-                while i < len(qids) and qids[i] == qids[i - 1]:
-                    i += 1
-                if starts[-1] < i < len(qids):
-                    starts.append(i)
-            ends = starts[1:] + [len(qids)]
-            for pi, (i, j) in enumerate(zip(starts, ends)):
-                refs.append(_fetch_slice_task.options(**_SPREAD).remote(
-                    wave_tbl.slice(i, j - i).combine_chunks(),
-                    (sitelinks_ref,), (pages_ref_get(),),
-                    os.path.join(delta, f"part-{pi:05d}.parquet"),
-                    robots if cfg.discover_links else None,
-                    cfg.discover_links,
-                ))
-            jt1 = _lap("job_setup", jt1)
-            results = ray.get(refs)
-            jt1 = _lap("job_exec", jt1)
-            requests = sum(r[1] for r in results)
-            with metrics_lock:
-                timings["task_cpu"] = timings.get("task_cpu", 0.0) + sum(
-                    r[3][0] for r in results
-                )
-                timings["task_wall"] = timings.get("task_wall", 0.0) + sum(
-                    r[3][1] for r in results
-                )
-            pages_cnt: dict[str, int] = {}
-            for r in results:
-                for k, c in r[2]:
-                    pages_cnt[k] = pages_cnt.get(k, 0) + c
-            add_delta(wave_clock, {"requests": requests}, pages_cnt)
-            if cfg.discover_links:
-                process_links(delta, wave_clock)
-            _lap("fetch_extract_write", jt0)
-
-        return job
-
-    # ---- dynamic frontier (north_star link discovery) -------------------
-    import pandas as pd
-
-    from wikicrawl.families import LANGS
-
-    disc_lock = threading.Lock()
-    disc_state = {"next_order": 0}
-
-    def process_links(delta: str, wave_clock: int) -> None:
-        """Admission candidates of a freshly-written delta -> first-wins
-        seen-set admission -> frontier push at rank 99.
-
-        Canonicalization, robots gating, hashing and LNK-id derivation all
-        happened INSIDE the fetch pipeline's workers
-        (``make_link_candidates_fn``); here everything is vectorized Arrow:
-        flatten the per-page candidate lists in crawl order, first-occurrence
-        dedup by url hash, drop robots-blocked urls, insert the rest. The
-        BFS discovery order (_seq, then document position) is preserved by
-        the _seq sort + order-preserving list flatten."""
-        cols = ["lang", "links", "link_url", "link_host", "link_path",
-                "link_hash", "link_id", "link_ok", "depth", "_seq"]
-        t = pa.concat_tables([
-            read_staging_file(f, cols)
-            for f in sorted(_glob.glob(os.path.join(delta, "part-*.parquet")))
-        ]).sort_by("_seq")
-        link_urls = t["link_url"].combine_chunks()
-        titles = pc.list_flatten(t["links"].combine_chunks())
-        parents = pc.list_parent_indices(link_urls)
-        urls = pc.list_flatten(link_urls)
-        if len(urls) == 0:
-            return
-        hashes_all = (pc.list_flatten(t["link_hash"].combine_chunks())
-                      .to_numpy(zero_copy_only=False).astype(np.uint64))
-        ok = (pc.list_flatten(t["link_ok"].combine_chunks())
-              .to_numpy(zero_copy_only=False).astype(bool))
-        child_depth = pc.add(
-            t["depth"].combine_chunks().take(parents), pa.scalar(1, pa.int32())
-        )
-        # wave-local first-occurrence dedup (the reference's `local` set),
-        # vectorized: keep the first row of each url hash in crawl order
-        first = ~pd.Series(hashes_all).duplicated().to_numpy()
-        if cfg.max_link_depth is not None:
-            # depth budget: links beyond the BFS tier never enter the
-            # local-dedup/robots accounting (they are simply not candidates)
-            within = (child_depth.to_numpy(zero_copy_only=False)
-                      <= cfg.max_link_depth)
-            first = first & within
-        n_robots = int((first & ~ok).sum())
-        if n_robots:
-            add_delta(wave_clock, {"robots_skipped": n_robots})
-        keep = first & ok
-        if not keep.any():
-            return
-        keep_arr = pa.array(keep)
-        lang_parent = t["lang"].combine_chunks().take(parents)
-        lang_rank_parent = pa.array(
-            pd.Series(lang_parent.to_pandas())
-            .map({l: i for i, l in enumerate(LANGS)})
-            .fillna(0).astype(np.int32)
-        )
-        ids = pc.filter(pc.list_flatten(t["link_id"].combine_chunks()), keep_arr)
-        n_kept = len(ids)
-
-        def const(v, typ):
-            return pa.array(np.full(n_kept, v), type=typ) if not isinstance(v, str) \
-                else pa.array([v] * n_kept, type=typ)
-
-        tbl = pa.table(
-            {
-                "family": const("discovered", pa.string()),
-                "family_rank": pa.array(np.full(n_kept, 99, dtype=np.int32),
-                                        type=pa.int32()),
-                "entity_id": ids,
-                "wikidata_id": ids,
-                "seed_order": pa.array(np.zeros(n_kept, dtype=np.int64)),
-                "lang": pc.filter(lang_parent, keep_arr),
-                "lang_rank": pc.filter(lang_rank_parent, keep_arr),
-                "page_title": pc.filter(titles, keep_arr),
-                "canonical_url": pc.filter(urls, keep_arr),
-                "host": pc.filter(pc.list_flatten(t["link_host"].combine_chunks()), keep_arr),
-                "path": pc.filter(pc.list_flatten(t["link_path"].combine_chunks()), keep_arr),
-                "url_hash": pa.array(hashes_all[keep], type=pa.uint64()),
-                "status": const("resolved", pa.string()),
-                "requests": pa.array(np.zeros(n_kept, dtype=np.int64)),
-                "depth": pc.cast(pc.filter(child_depth, keep_arr), pa.int32()),
-            },
-            schema=RESOLVED_SCHEMA,
-        )
-        hashes = hashes_all[keep]
-        with disc_lock:  # admission + discovery-order assignment are atomic
-            new = seen.insert_batch(hashes)
-            n_new = int(new.sum())
-            start = disc_state["next_order"]
-            disc_state["next_order"] += n_new
-        add_delta(wave_clock, {"url_dups": int((~new).sum()),
-                               "discovered": n_new})
-        if not n_new:
-            return
-        admitted = tbl.filter(pa.array(new))
-        so = admitted.schema.get_field_index("seed_order")
-        admitted = admitted.set_column(
-            so, "seed_order",
-            pa.array(np.arange(start, start + n_new), type=pa.int64()),
-        )
-        journal_admissions(admitted, wave_clock,
-                           f"links-{os.path.basename(delta)}")
-        frontier.push_table(admitted)
-
-    # ---- admission WAL --------------------------------------------------
-    # Every admission is journaled BEFORE its frontier push: seed admissions
-    # synchronously on the driver, link admissions inside the wave's job
-    # (whose completion gates the FIFO manifest commit). Resume reconstructs
-    # the frontier backlog as journal(committed waves) - crawl log — no
-    # admitted URL can be silently lost (ADVICE r1), with no dependence on
-    # racing background pushes.
-    def journal_admissions(tbl: pa.Table, wave_id: int, tag: str) -> None:
-        path = os.path.join(adm_dir, f"adm-{wave_id:06d}-{tag}.parquet")
-        tmp = path + ".tmp"
-        pq.write_table(tbl, tmp)
-        os.replace(tmp, path)
-
-    # fault-injection hook (tests only): hard-kill ONE state-plane shard
-    # actor at the top of wave N — mid-run, with committed manifests behind
-    # it and an in-flight wave ahead. The crawl FAILS (RayActorError
-    # surfaces through the facade); the drill then proves resume=True
-    # restores exact parity from manifests + admission WAL + seen segments
-    # WITHOUT restarting Ray or re-running committed waves
-    # (scripts/shard_death_smoke.py).
-    _kill_shard_wave = os.environ.get("WIKICRAWL_KILL_SEEN_SHARD_WAVE")
-
-    def queue_wave_commit(w: int, write_futs: list) -> None:
-        """Flush wave w's seen segments and queue its manifest commit on the
-        FIFO commit worker, gated on the wave's writes and that flush (an
-        orphan segment without its manifest is ignored on resume:
-        load_segments max_wave)."""
-        _ts = _time.time()
-        flush_refs = seen.flush_segments_async(seen_dir, w)
-        _lap("drv_seen_flush", _ts)
-        manifest = {
-            "wave": w,
-            "seq": seq,  # this wave's emissions are already numbered
-            "watermark": list(watermark),
-            "frontier": frontier.snapshots(),
-            "seen_size": seen.size(),
-        }
-
-        def _commit():
-            for f in write_futs:  # manifest only after this wave's writes landed
-                f.result()
-            ray.get(flush_refs)  # ... and after its seen segments are durable
-            manifest["metrics"] = merge_committed(w)
-            ckpt.commit_wave(w, manifest)
-
-        pending.append(commit_pool.submit(_commit))
-
-    writes_pool = ThreadPoolExecutor(max_workers=max(1, cfg.write_workers))
-    commit_pool = ThreadPoolExecutor(max_workers=1)
     try:
-        halted = False
-        _t_prev = _time.time()
-        for n_entities, res_tbl in resolved_waves():
-            _lap("resolve", _t_prev)
-            if _kill_shard_wave is not None and wave == int(_kill_shard_wave):
-                ray.kill(seen.shards[0], no_restart=True)
-            status = res_tbl["status"]
-            n_transient = int(pc.sum(pc.cast(pc.equal(status, "transient"), pa.int64())).as_py() or 0)
-            add_delta(wave, {
-                "entities": n_entities,
-                "requests": int(pc.sum(res_tbl["requests"]).as_py() or 0),
-                "transient": n_transient,
-                "no_sitelink": int(
-                    pc.sum(pc.cast(pc.equal(status, "no_sitelink"), pa.int64())).as_py() or 0
-                ),
-                "robots_skipped": int(
-                    pc.sum(pc.cast(pc.equal(status, "robots"), pa.int64())).as_py() or 0
-                ),
-            })
-            if n_transient:
-                tr = res_tbl.filter(pc.equal(status, "transient"))
-                pq.write_table(
-                    tr.select(["family", "wikidata_id", "entity_id"]),
-                    os.path.join(retry_dir, f"wave-{wave:06d}.parquet"),
-                )
-            # robots was gated inside the resolver stage: a disallowed URL
-            # never reaches the seen set (oracle semantics); the frontier
-            # re-checks at push (defense in depth)
-            ready_tbl = res_tbl.filter(pc.equal(status, "resolved"))
-
-            if ready_tbl.num_rows:
-                _ta = _time.time()
-                hashes = ready_tbl["url_hash"].to_numpy(zero_copy_only=False).astype(np.uint64)
-                new = seen.insert_batch(hashes)
-                add_delta(wave, {"url_dups": int((~new).sum())})
-                admitted_tbl = ready_tbl.filter(pa.array(new))
-                _ta = _lap("drv_seen", _ta)
-                if admitted_tbl.num_rows:
-                    journal_admissions(admitted_tbl, wave, "seed")
-                    _ta = _lap("drv_journal", _ta)
-                    frontier.push_table(admitted_tbl)
-                    _lap("drv_fpush", _ta)
-
-            # emission: strict mode drains the frontier before the next wave
-            while True:
-                _tp = _time.time()
-                emitted_tbl = frontier.pop_wave_table(RESOLVED_SCHEMA)
-                _lap("drv_fpop", _tp)
-                if emitted_tbl is not None and emitted_tbl.num_rows:
-                    fut = writes_pool.submit(process_emitted(emitted_tbl, wave))
-                    pending.append(fut)
-                    wave_write_futs.setdefault(wave, []).append(fut)
-                if cfg.strict_order and cfg.discover_links and (
-                    emitted_tbl is not None and emitted_tbl.num_rows
-                ):
-                    # deterministic BFS: the job pushes discovered links;
-                    # wait for it so the next pop sees them (parity schedule)
-                    fut.result()
-                if not cfg.strict_order or frontier.backlog() == 0:
-                    break
-
-            last = res_tbl.slice(res_tbl.num_rows - 1, 1)
-            watermark = (
-                last["family_rank"][0].as_py(),
-                last["seed_order"][0].as_py(),
-            )
-            queue_wave_commit(wave, wave_write_futs.pop(wave, []))
-            wave += 1
-            if cfg.halt_after_waves is not None and wave >= cfg.halt_after_waves:
-                # simulate a crash: committed manifests + journal exist,
-                # frontier backlog and un-finalized deltas are simply
-                # abandoned
-                halted = True
-                break
-            if wave >= cfg.max_waves:
-                break
-            _t_prev = _time.time()
-
-        # drain any remaining frontier backlog (non-strict mode tail);
-        # in-flight jobs may still DISCOVER more links, so an empty backlog
-        # only ends the drain after every pending job has finished and it
-        # is still empty
-        while not halted:
-            if frontier.backlog() == 0:
-                for f in list(pending):
-                    f.result()
-                if frontier.backlog() == 0:
-                    break
-            emitted_tbl = frontier.pop_wave_table(RESOLVED_SCHEMA)
-            if emitted_tbl is not None and emitted_tbl.num_rows:
-                wfut = writes_pool.submit(process_emitted(emitted_tbl, wave))
-                pending.append(wfut)
-                queue_wave_commit(wave, [wfut])
-                wave += 1
-
-        # join the background pipeline (propagates any write error)
-        for fut in pending:
-            fut.result()
-
+        halted = ctl.run_waves(_seed_waves(cfg, slices, sitelinks, robots))
         if not halted:
-            # final totals = committed totals (every wave committed above);
-            # keep any leftover tail delta (a tail pop that never formed a
-            # wave) merged too
-            for w in sorted(wave_deltas):
-                merge_committed(w)
-            metrics.clear()
-            metrics.update(committed_totals)
-
-            # ---- finalize: fold the payload deltas into the five keyed tables
-            # stage every committed delta part (this run's and, on resume,
-            # the earlier attempt's): one stager per fetch slot, each over
-            # a contiguous share in path order, which is crawl order
-            t0 = _time.time()
-            deltas = sorted(_glob.glob(
-                os.path.join(payload_dir, "wave-*", "part-*.parquet")))
-            if deltas:
-                n = min(fetch_slots, len(deltas))
-                cuts = [len(deltas) * i // n for i in range(n + 1)]
-                stage_refs.extend(
-                    _stage_deltas_task.options(**_SPREAD).remote(
-                        deltas[a:b], stage_specs)
-                    for a, b in zip(cuts, cuts[1:]))
-                metrics["staging_batches"] = sum(ray.get(stage_refs))
-                t0 = _lap("finalize_stage", t0)
-                images_arg = images_arg_get()
-                if images_arg is None:
-                    # co-partition the binary corpus to the OUTPUT
-                    # partitioning once instead of every merge task reading
-                    # all of it (pipelines/bytes_shuffle.py: design +
-                    # measurements)
-                    images_arg = shuffle_image_bytes_to_parts(
-                        tables["images_out"].path, images_path, cfg.out_dir)
-                    t0 = _lap("finalize_bytes_shuffle", t0)
-                _merge_staged(tables, images_arg, wave)
-                t0 = _lap("finalize_merges", t0)
-                if images_arg[0] == "parts":
-                    shutil.rmtree(images_arg[1], ignore_errors=True)
-
-        metrics["timings"] = {k: round(v, 2) for k, v in timings.items()}
-        metrics["timeline"] = list(timeline)
+            ctl.drain()
+        ctl.join()
+        metrics = dict(ledger.committed)
+        if not halted:
+            n_batches = _finalize(run, tables, images_arg, ctl.wave, stage_refs)
+            if n_batches is not None:
+                metrics["staging_batches"] = n_batches
+        metrics["timings"] = ledger.timings()
+        metrics["timeline"] = list(ledger.spans)
         return CrawlResult(cfg.out_dir, tables, metrics)
     finally:
         # ONE exit path for a finished run, the simulated crash and any
-        # error: no background job, manifest commit, stager or corpus
-        # loader may outlive crawl() — a resume started right after a
-        # failure must not race the dead run's writers (queued work that
-        # never started is cancelled; a commit gated on a cancelled write
-        # fails instead of landing)
-        writes_pool.shutdown(wait=True, cancel_futures=True)
-        commit_pool.shutdown(wait=True, cancel_futures=True)
+        # error: no background job, manifest commit or stager may outlive
+        # crawl() — a resume started right after a failure must not race
+        # the dead run's writers (queued work that never started is
+        # cancelled; a commit gated on a cancelled write fails instead of
+        # landing)
+        writes.shutdown(wait=True, cancel_futures=True)
+        commits.shutdown(wait=True, cancel_futures=True)
         if stage_refs:
             ray.wait(stage_refs, num_returns=len(stage_refs))
-        for t in _bc_threads:
-            t.join()
 
 
 def read_crawl_log(out_dir: str) -> pa.Table:

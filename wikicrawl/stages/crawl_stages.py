@@ -424,9 +424,10 @@ class FetchExtract:
 class AttachBytes:
     """Image rows + images input table -> rows extended with bytes/w/h/fmt/phash.
 
-    The images table reference is passed as a ``ray.put`` object ref (read
-    zero-copy once per actor in ``__init__``) or as a parquet path; either
-    way the lookup index is built ONCE per actor, never per batch.
+    The images table is passed as an object ref (the broadcast a read task
+    put in plasma, fetched zero-copy once in ``__init__``) or as a parquet
+    path; either way the lookup index is built ONCE per actor, never per
+    batch.
 
     Scale path: when the table exceeds the broadcast threshold, finalize
     co-partitions the bytes straight from images.parquet to the output

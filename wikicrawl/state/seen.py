@@ -18,8 +18,9 @@ So the fast path is O(1) probes per run and the *result* is exact. A batch's
 new keys become a new run, and neighbouring runs merge while the older holds
 fewer than twice the newer's keys, so N keys live in O(log N) runs. Beyond a
 resident budget runs spill to disk with their filters (memory-mapped).
-Shards are ``hash % n_shards`` actors; membership/insert calls are batched
-per shard (one ray call per shard per wave, not per URL).
+Shards are actors, each owning the keys whose high mixed bits route to it
+(``ShardedSeenSet._route``); membership/insert calls are batched per shard
+(one ray call per shard per wave, not per URL).
 """
 
 from __future__ import annotations
@@ -455,7 +456,7 @@ class SeenSet:
 
 @ray.remote
 class SeenShardActor:
-    """One shard of the URL-seen set (keys routed by ``hash % n_shards``)."""
+    """One shard of the URL-seen set (keys routed by ``ShardedSeenSet._route``)."""
 
     def __init__(self, shard_id: int, spill_dir: str | None = None,
                  max_resident_keys: int = 1 << 22):
@@ -512,7 +513,13 @@ class ShardedSeenSet:
             self.resets = [s.reset.remote(*a) for s, a in zip(self.shards, args)]
 
     def _route(self, keys: np.ndarray) -> np.ndarray:
-        return (keys % np.uint64(self.n_shards)).astype(np.int64)
+        """Shard of each key, from bits 40+ of the key's multiplicative
+        mix. Not ``key % n_shards``: the bloom word and the primary cuckoo
+        bucket index on the key's low bits, so low-bit routing would confine
+        each shard's keys to 1/n_shards of them. Bits 40+ also stay clear of
+        the mix bits 16-39 that the bloom's in-word mask reads."""
+        mixed = (keys * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(40)
+        return (mixed % np.uint64(self.n_shards)).astype(np.int64)
 
     def insert_batch(self, keys: np.ndarray) -> np.ndarray:
         keys = np.asarray(keys, dtype=np.uint64)
