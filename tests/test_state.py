@@ -340,3 +340,28 @@ def test_shard_routing_keeps_run_blooms_at_design_fp(n_shards):
     for run in s._runs:
         fp = run.bloom.contains_batch(probe).mean()
         assert fp <= 0.02, (n_shards, len(run), fp)
+
+
+def test_seen_probe_shares_bloom_masks_across_runs():
+    """``_member`` computes each key's bloom mask once per slice and filters
+    it with the keys: on a set of 7 runs its answers equal the exact answer
+    and a per-run probe that computes the masks afresh."""
+    rng = np.random.default_rng(11)
+    s = SeenSet()
+    inserted = []
+    for n in (60_000, 20_000, 6_600, 2_200, 730, 240, 80):
+        keys = rng.integers(0, 2**64, n, dtype=np.uint64)
+        s.insert_batch(keys)
+        inserted.append(keys)
+    assert len(s._runs) == 7
+    held = np.concatenate(inserted)
+    probe = np.unique(np.concatenate([
+        rng.choice(held, 40_000), rng.integers(0, 2**64, 100_000, dtype=np.uint64)]))
+    # more than one slice, so the masks are sliced along with the keys
+    assert len(probe) > seen_mod._SLICE
+    got = s._member(probe)
+    assert np.array_equal(got, np.isin(probe, held))
+    fresh_masks = np.zeros(len(probe), dtype=bool)
+    for run in s._runs:
+        fresh_masks |= run.member(probe, BloomFilter.key_mask(probe))
+    assert np.array_equal(got, fresh_masks)

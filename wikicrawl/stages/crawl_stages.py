@@ -394,6 +394,11 @@ class FetchExtract:
         page_title = batch["page_title"].to_pylist()
         depth = batch["depth"].to_pylist() if "depth" in names else [0] * n
         seq = batch["seq"].to_pylist() if "seq" in names else [0] * n
+        # the virtual wiki looks up every page row of the batch in one
+        # vectorized probe; a live wiki fetches per request instead
+        load_pages = getattr(wiki, "load_pages", None)
+        if load_pages is not None:
+            load_pages(lang, page_title)
         out = {f.name: [] for f in PAYLOAD_SCHEMA}
         for i in range(n):
             fam = FAMILY_BY_CONTENT[family[i]]

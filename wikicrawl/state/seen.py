@@ -54,27 +54,34 @@ class BloomFilter:
         self.bits = np.zeros(self.n_words, dtype=np.uint64)
         self._wmask = np.uint64(self.n_words - 1)
 
-    def _word_and_mask(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        keys = np.asarray(keys, dtype=np.uint64)
-        word = (keys & self._wmask).astype(np.int64)
-        # k in-word bit positions from independent 6-bit hash slices
+    @classmethod
+    def key_mask(cls, keys: np.ndarray) -> np.ndarray:
+        """The k in-word bits of each key, from independent 6-bit hash
+        slices. Only the word depends on the filter's size, so a probe of
+        several filters computes the masks once."""
         h = (keys * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(16)
         half = np.uint64(0xFFF)
-        mask = (self._PAIR[(h & half).astype(np.intp)]
-                | self._PAIR[((h >> np.uint64(12)) & half).astype(np.intp)])
-        return word, mask
+        return (cls._PAIR[(h & half).astype(np.intp)]
+                | cls._PAIR[((h >> np.uint64(12)) & half).astype(np.intp)])
+
+    def _word(self, keys: np.ndarray) -> np.ndarray:
+        return (keys & self._wmask).astype(np.int64)
 
     def add_batch(self, keys: np.ndarray) -> None:
         if not len(keys):
             return
-        word, mask = self._word_and_mask(keys)
-        np.bitwise_or.at(self.bits, word, mask)
+        keys = np.asarray(keys, dtype=np.uint64)
+        np.bitwise_or.at(self.bits, self._word(keys), self.key_mask(keys))
 
-    def contains_batch(self, keys: np.ndarray) -> np.ndarray:
+    def contains_batch(self, keys: np.ndarray,
+                       mask: np.ndarray | None = None) -> np.ndarray:
+        """``mask``: the keys' ``key_mask``, when the caller has it."""
         if not len(keys):
             return np.zeros(0, dtype=bool)
-        word, mask = self._word_and_mask(keys)
-        return (self.bits[word] & mask) == mask
+        keys = np.asarray(keys, dtype=np.uint64)
+        if mask is None:
+            mask = self.key_mask(keys)
+        return (self.bits[self._word(keys)] & mask) == mask
 
 
 class CuckooFilter:
@@ -252,11 +259,12 @@ class _Run:
     def __len__(self) -> int:
         return len(self.keys)
 
-    def member(self, keys: np.ndarray) -> np.ndarray:
+    def member(self, keys: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """Exact membership: bloom, then cuckoo, then ``searchsorted``,
-        each on the keys the one before let through."""
+        each on the keys the one before let through. ``mask`` is the
+        keys' ``BloomFilter.key_mask``."""
         out = np.zeros(len(keys), dtype=bool)
-        m = np.flatnonzero(self.bloom.contains_batch(keys))
+        m = np.flatnonzero(self.bloom.contains_batch(keys, mask))
         if self.cuckoo is not None and len(m):
             m = m[self.cuckoo.contains_batch(keys[m])]
         if len(m):
@@ -300,19 +308,22 @@ class SeenSet:
 
     def _member(self, keys: np.ndarray) -> np.ndarray:
         """Membership of unique keys: newest run first, each run probing
-        only the keys no newer run holds."""
+        only the keys no newer run holds. The keys' bloom masks are the
+        same in every run, so each slice computes them once."""
         out = np.zeros(len(keys), dtype=bool)
         runs = self._spilled + self._runs
         for lo in range(0, len(keys), _SLICE):
             sub = keys[lo : lo + _SLICE]
+            mask = BloomFilter.key_mask(sub)
             rem = np.arange(lo, lo + len(sub))
             for run in reversed(runs):
                 if not len(rem):
                     break
-                hit = run.member(sub)
+                hit = run.member(sub, mask)
                 if hit.any():
                     out[rem[hit]] = True
-                    rem, sub = rem[~hit], sub[~hit]
+                    miss = ~hit
+                    rem, sub, mask = rem[miss], sub[miss], mask[miss]
         return out
 
     def _push(self, keys: np.ndarray) -> None:

@@ -47,9 +47,10 @@ class VirtualWiki:
 
     The pages table (large: HTML + file lists) is kept as the SHARED Arrow
     table — typically the zero-copy result of ``ray.get`` on a broadcast
-    ``ray.put`` ref — with only a (lang, title) -> row-index dict built per
-    actor. Rows materialize lazily per lookup, so actor ``__init__`` is
-    cheap no matter the corpus size and N actors share one copy in the
+    ``ray.put`` ref — with only a sorted index of (lang, title) hashes
+    built per process. Rows materialize lazily, one fetch batch at a time
+    (``load_pages``) or one page at a time (``_page``), so ``__init__`` is
+    cheap no matter the corpus size and N workers share one copy in the
     object store."""
 
     def __init__(self, sitelinks_table, pages_table, robots_disallow: dict):
@@ -61,7 +62,7 @@ class VirtualWiki:
         self._pages_table = pages_table
         self._sitelinks_dict: dict[str, dict[str, tuple[str, int]]] | None = None
         self._page_hash = None  # sorted key hashes + perm (built on demand)
-        self._last_page = (None, None)  # ((lang, title), row) of _page
+        self._rows: dict = {}  # (lang, title) -> row kept for _page
         self.robots_disallow = {
             host: tuple(prefixes) for host, prefixes in robots_disallow.items()
         }
@@ -146,26 +147,65 @@ class VirtualWiki:
         self._page_hash = h[order]
         self._page_order = order
 
+    @staticmethod
+    def _key_hashes(langs, titles):
+        import numpy as np
+        import pandas as pd
+
+        keys = np.array([f"{lang}\x00{title}"
+                         for lang, title in zip(langs, titles)], dtype=object)
+        return pd.util.hash_array(keys, categorize=False)
+
     def _page(self, lang: str, title: str) -> dict | None:
         """The pages row of ``(lang, title)`` as a Python dict (HTML
-        included), or None. The last lookup is kept: one page's summary,
-        parse and media-items requests come in a row, so they share one
-        copy of the row. The virtual requests they count are unchanged."""
-        key, row = self._last_page
-        if key == (lang, title):
-            return row
+        included), or None. Rows come from ``_rows``: the batch
+        ``load_pages`` looked up, else the last row looked up here. One
+        page's summary, parse and media-items requests come in a row, so
+        they share one copy of the row. The virtual requests they count are
+        unchanged."""
+        key = (lang, title)
+        if key in self._rows:
+            return self._rows[key]
         row = self._lookup_page(lang, title)
-        self._last_page = ((lang, title), row)
+        self._rows = {key: row}
         return row
+
+    def load_pages(self, langs: list, titles: list) -> None:
+        """Look up the pages rows of a whole batch of ``(lang, title)`` keys
+        with one vectorized probe and keep them for ``_page`` (replacing
+        the rows kept before). The same rows as ``_lookup_page`` per key:
+        hash every key, ``searchsorted`` its candidate range, verify each
+        candidate's key, take the first that matches."""
+        import numpy as np
+        import pyarrow.compute as pc
+
+        self._ensure_page_index()
+        keys = list(zip(langs, titles))
+        h = self._key_hashes(langs, titles)
+        lo = np.searchsorted(self._page_hash, h, side="left")
+        n_cand = np.searchsorted(self._page_hash, h, side="right") - lo
+        # candidate j belongs to key probe[j] and is sorted position pos[j]
+        probe = np.repeat(np.arange(len(keys)), n_cand)
+        pos = np.arange(len(probe)) - np.repeat(np.cumsum(n_cand) - n_cand,
+                                                n_cand) + lo[probe]
+        cand = self._page_order[pos]
+        t = self._pages_table
+        cand_keys = zip(pc.take(t["lang"], cand).to_pylist(),
+                        pc.take(t["page_title"], cand).to_pylist())
+        row_of: dict = {}
+        for p, i, ck in zip(probe.tolist(), cand.tolist(), cand_keys):
+            if ck == keys[p]:
+                row_of.setdefault(ck, i)
+        found = list(row_of)
+        rows = t.take(np.array([row_of[k] for k in found], dtype=np.int64))
+        self._rows = dict.fromkeys(keys)
+        self._rows.update(zip(found, rows.to_pylist()))
 
     def _lookup_page(self, lang: str, title: str) -> dict | None:
         self._ensure_page_index()
         import numpy as np
-        import pandas as pd
 
-        h = pd.util.hash_array(
-            np.array([f"{lang}\x00{title}"], dtype=object), categorize=False
-        )[0]
+        h = self._key_hashes([lang], [title])[0]
         lo = int(np.searchsorted(self._page_hash, h, side="left"))
         hi = int(np.searchsorted(self._page_hash, h, side="right"))
         for j in range(lo, hi):
