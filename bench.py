@@ -129,9 +129,10 @@ def run_crawl(num_cpus: int) -> dict:
         # still fill the machine (3 capped in-flight tasks during ramp)
         write_workers=2 if num_cpus <= 8 else max(3, num_cpus // 8),
         # scale the slice size with the corpus so the fetch-task (and so
-        # delta-part) count stays ~constant; tuned when every task also
-        # wrote its own staging files (480k/16cpus: finalize 33.2 s ->
-        # 12.4 s with 1024-entity slices; 256 optimal at <=200k)
+        # delta-part) count stays ~constant; tuned back when every fetch
+        # task also wrote one file per (table, partition) (480k/16cpus:
+        # finalize 33.2 s -> 12.4 s with 1024-entity slices; 256 optimal
+        # at <=200k) — now a task writes its one delta part only
         fetch_batch=int(os.environ.get(
             "BENCH_FETCH_BATCH",
             str(min(2048, max(256, BENCH_ENTITIES // 500))))),
@@ -140,7 +141,7 @@ def run_crawl(num_cpus: int) -> dict:
         n_seen_shards=4,
         # 16 measured better than 32 at both cpu levels: finalize is NOT
         # merge-task-parallelism-bound, and more partitions means more
-        # staging files per stager batch (tables x partitions)
+        # object-store blocks per stager batch (tables x partitions)
         n_table_partitions=int(os.environ.get("BENCH_PARTITIONS", "16")),
     )
     calib = None

@@ -2,11 +2,15 @@
 entry and its oracle SQL side-by-side, compare row count, schema (column
 names), values (column-sorted, row-sorted) and per-column dtypes."""
 
+import os
 import sys
 
 import duckdb
 import numpy as np
 import pandas as pd
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, REPO)
 
 TABLES = "region nation customer supplier part orders lineitem events documents embeddings".split()
 
@@ -15,6 +19,9 @@ def run(sf_dir: str, only=None):
     import ray
 
     if not ray.is_initialized():
+        # the Ray workers this starts import the library from here too
+        os.environ["PYTHONPATH"] = os.pathsep.join(
+            p for p in (REPO, os.environ.get("PYTHONPATH")) if p)
         ray.init(address="local", num_cpus=8, include_dashboard=False,
                  logging_level="ERROR")
     from ray.data import DataContext

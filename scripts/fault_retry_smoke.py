@@ -1,14 +1,18 @@
 """Worker-crash fault injection: golden parity through Ray task retry.
 
-The first fetch task to claim the fault marker dies with os._exit(1)
-BEFORE any side effect — a hard worker crash, the failure mode Ray's
-default task retry handles transparently. The crawl must still finish
-and its tables, crawl order and URL-seen set must be value-identical to
-the straight-line oracle, because every fetch-task side effect is
-idempotent by construction: the task's one file, its payload delta
-part, has a fixed name and is atomically renamed, counters ride on the
-(single successful) task return, and the admission WAL journals before
-the frontier push.
+Two sites, each killed once with os._exit(1) — a hard worker crash, the
+failure mode Ray's default task retry handles transparently:
+
+- the first fetch task to claim the ``died`` marker, BEFORE any side
+  effect. Its one file, the payload delta part, has a fixed name and is
+  atomically renamed, counters ride on the (single successful) task
+  return, and the admission WAL journals before the frontier push;
+- the first finalize stager to claim the ``stager_died`` marker, right
+  after its first yielded block. Its blocks live only as task outputs,
+  so the retried generator must re-derive every one of them exactly.
+
+The crawl must still finish, and its tables, crawl order and URL-seen set
+must be value-identical to the straight-line oracle.
 
 Run directly or via tests/test_fault_retry.py (subprocess — the env var
 must be set before the Ray workers fork). Prints ONE JSON line.
@@ -71,7 +75,8 @@ def main() -> None:
                       strict_order=True)
     res = crawl(cfg)
 
-    died = os.path.exists(os.path.join(fault_dir, "died"))
+    fired = {site: os.path.exists(os.path.join(fault_dir, marker))
+             for site, marker in (("fetch", "died"), ("stager", "stager_died"))}
     oracle = run_oracle(CORPUS)
     checks = {
         "pages": frames_equal(
@@ -96,10 +101,10 @@ def main() -> None:
     )
     out = {
         "metric": "worker-crash fault injection golden parity",
-        "fault_fired": died,
+        "fault_fired": fired,
         "fetched": res.metrics["fetched"],
         "parity": checks,
-        "ok": died and all(checks.values()),
+        "ok": all(fired.values()) and all(checks.values()),
     }
     ray.shutdown()
     shutil.rmtree(fault_dir, ignore_errors=True)

@@ -9,7 +9,8 @@ TRANSFER all cross a node boundary exactly as on a physical cluster
 
   1. both nodes are alive and tasks demonstrably run on BOTH node ids;
   2. the full crawl pipeline (resolve -> frontier shards -> fetch/extract
-     -> staging -> finalize) completes across the two nodes;
+     -> finalize's object-store blocks -> merges) completes across the
+     two nodes;
   3. output tables, crawl ORDER and the URL-seen set are value-identical
      to the straight-line oracle — the same golden parity the single-node
      suite enforces (tests/test_parity.py), now through cross-node object

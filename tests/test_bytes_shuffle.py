@@ -2,7 +2,8 @@
 (wikicrawl/pipelines/bytes_shuffle.py) beyond the end-to-end golden
 parity test (tests/test_parity.py::test_images_parity_bucketed_bytes):
 routing correctness, shared images fanning out to every needing
-partition, ids missing from the corpus, and empty staging."""
+partition, ids missing from the corpus, and empty input. The staged
+images_out blocks arrive as object-store refs, one list per partition."""
 
 import os
 
@@ -30,17 +31,14 @@ def _images_table(ids):
     })
 
 
-def _stage_ids(staging_dir: str, part: int, ids):
-    pdir = os.path.join(staging_dir, f"p={part:05d}")
-    os.makedirs(pdir, exist_ok=True)
-    pq.write_table(
-        pa.table({"image_id": pa.array(ids, pa.string())}),
-        os.path.join(pdir, f"stage-{part}.parquet"),
-    )
+def _id_block(ids):
+    import ray
+
+    return ray.put(pa.record_batch({"image_id": pa.array(ids, pa.string())}))
 
 
 def test_shuffle_routes_by_output_partition(ray_session, tmp_path):
-    """Each parts dir holds exactly the ids its staged partition needs —
+    """Each parts dir holds exactly the ids its partition's blocks need —
     including a SHARED image needed by two partitions (one copy each) —
     and ids absent from the corpus are simply not routed."""
     images = str(tmp_path / "images.parquet")
@@ -48,13 +46,13 @@ def test_shuffle_routes_by_output_partition(ray_session, tmp_path):
     pq.write_table(_images_table(["a", "b", "c", "shared"]), images,
                    row_group_size=2)
 
-    out_root = str(tmp_path / "images_out")
-    staging = os.path.join(out_root, "staging")
-    _stage_ids(staging, 0, ["a", "shared", "ghost"])  # ghost: not in corpus
-    _stage_ids(staging, 3, ["b", "c", "shared"])
+    blocks = [[] for _ in range(4)]
+    blocks[0] = [_id_block(["a", "shared"]), _id_block(["ghost"])]  # ghost: not in corpus
+    blocks[2] = [_id_block([])]  # an empty block routes nothing
+    blocks[3] = [_id_block(["b", "c", "shared"])]
 
     kind, parts_dir = shuffle_image_bytes_to_parts(
-        out_root, images, str(tmp_path / "out"))
+        blocks, images, str(tmp_path / "out"))
     assert kind == "parts"
 
     def part_rows(p):
@@ -70,6 +68,7 @@ def test_shuffle_routes_by_output_partition(ray_session, tmp_path):
     p0, p3 = part_rows(0), part_rows(3)
     assert set(p0) == {"a", "shared"}          # ghost dropped, not an error
     assert set(p3) == {"b", "c", "shared"}     # shared fans out to both
+    assert part_rows(1) == part_rows(2) == {}
     assert p0["shared"] == p3["shared"] == b"payload-shared"
     assert p0["a"] == b"payload-a"
     # the unused caption column is pruned from the shipped parts
@@ -79,14 +78,14 @@ def test_shuffle_routes_by_output_partition(ray_session, tmp_path):
 
 
 def test_shuffle_empty_staging(ray_session, tmp_path):
-    """No staged partitions -> an empty parts dir, no tasks launched."""
+    """No staged blocks, or only empty ones -> an empty parts dir."""
     images = str(tmp_path / "images.parquet")
     pq.write_table(_images_table(["x"]), images, row_group_size=2)
-    out_root = str(tmp_path / "images_out")  # no staging dir at all
-    kind, parts_dir = shuffle_image_bytes_to_parts(
-        out_root, images, str(tmp_path / "out"))
-    assert kind == "parts"
-    assert os.path.isdir(parts_dir) and os.listdir(parts_dir) == []
+    for blocks in ([], [[], []], [[_id_block([])], []]):
+        kind, parts_dir = shuffle_image_bytes_to_parts(
+            blocks, images, str(tmp_path / "out"))
+        assert kind == "parts"
+        assert os.path.isdir(parts_dir) and os.listdir(parts_dir) == []
 
 
 def test_empty_images_table_schema():

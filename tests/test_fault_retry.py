@@ -3,10 +3,12 @@
 Runs scripts/fault_retry_smoke.py in a SUBPROCESS (the fault env var
 must be set before Ray forks its workers, which the session fixture has
 already done). The script kills one fetch worker hard (os._exit) before
-any side effect; Ray's default task retry re-executes it and the output
-tables + exact crawl order must equal the straight-line oracle — the
-fetch-task side effects are idempotent by construction (content-hash
-staging filenames + atomic rename, counters on the task return)."""
+any side effect, and one finalize stager right after its first yielded
+block; Ray's default task retry re-executes each, and the output tables
++ exact crawl order must equal the straight-line oracle. Both sites are
+idempotent by construction: a fetch task's one file is its fixed-name
+delta part (atomic rename, counters on the task return), and a stager
+re-derives its (table, partition) blocks from the committed deltas."""
 
 import json
 import os
@@ -23,5 +25,5 @@ def test_worker_crash_retry_golden_parity():
     )
     assert res.returncode == 0, res.stderr[-3000:]
     out = json.loads(res.stdout.strip().splitlines()[-1])
-    assert out["fault_fired"], "fault hook never fired"
+    assert out["fault_fired"] == {"fetch": True, "stager": True}, out
     assert out["ok"], out

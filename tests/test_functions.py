@@ -1200,6 +1200,30 @@ def test_ppjoin_forced_large_side(docs_with_dups, ray_session):
     assert (3, 40) in pairs        # one-word-changed near-dup
 
 
+def test_ppjoin_explodes_input_once(docs_with_dups, ray_session, tmp_path):
+    """The n-gram explode feeds both the df groupby and the verify size
+    switch, and runs once: every input block is read exactly once."""
+    import ray.data as rd
+
+    log = str(tmp_path / "reads.log")
+
+    def note_read(t):
+        with open(log, "a") as f:
+            f.write("block\n")
+        return t
+
+    n_blocks = 3
+    chunks = np.array_split(docs_with_dups, n_blocks)
+    ds = rd.from_pandas(list(chunks)).map_batches(
+        note_read, batch_format="pyarrow", batch_size=None)
+    got = D.ppjoin_pairs(ds, n=2, threshold=0.7).to_pandas()
+    with open(log) as f:
+        assert len(f.readlines()) == n_blocks
+    want = D.ppjoin_pairs(rd.from_pandas(docs_with_dups), n=2,
+                          threshold=0.7).to_pandas()
+    assert got.equals(want)
+
+
 def test_ppjoin_matches_full_inverted_index(docs_with_dups, ray_session):
     """Prefix-filter losslessness: PPJoin's pair set equals the full
     inverted-index join (ngram_jaccard_dedup) at the same (n, threshold)."""

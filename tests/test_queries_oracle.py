@@ -243,3 +243,19 @@ def test_q12_asof_matches_on_overlapping_dates(tmp_path, ray_session):
     want = c.execute(SQL_Q12).fetchdf()
     assert _compare(got, want) is None
     assert 0 < int(got["last_event_id"].notna().sum()) < len(got)
+
+
+def test_check_queries_runs_outside_checkout(tmp_path):
+    """scripts/check_queries.py imports the library from its own checkout:
+    it passes with no PYTHONPATH, started from an unrelated directory."""
+    import subprocess
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    res = subprocess.run(
+        [sys.executable, os.path.join(repo, "scripts", "check_queries.py"),
+         SF, "q04_anti_join"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600)
+    assert res.returncode == 0, res.stdout[-2000:] + res.stderr[-2000:]
+    assert "q04_anti_join: OK" in res.stdout
+    assert "TOTAL" in res.stdout

@@ -1510,7 +1510,7 @@ def ppjoin_pairs(ds, n: int = 2, threshold: float = 0.7,
     exploded = ds.map_batches(
         lambda t: ngram_explode_batch(t, n, id_col, text_col, n_parts),
         batch_format="pyarrow",
-    )
+    ).materialize()  # consumed twice: the df groupby and the verify switch
 
     def add_df(g: pd.DataFrame) -> pd.DataFrame:
         g = g.copy()

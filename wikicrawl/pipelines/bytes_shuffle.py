@@ -9,10 +9,9 @@ contending on memory bandwidth for pure duplication). This pass moves the
 bytes to the OUTPUT partitioning once, straight from ``images.parquet``,
 then each merge task reads only its own partition's bytes:
 
-1. one column-pruned scan per staged images_out partition dir — the unique
-   ``image_id`` values partition p needs (reads ONLY that column of the
-   staging/compact files; runs after the compaction drain, so the dir is
-   stable);
+1. one task per images_out partition over that partition's staged blocks
+   (object-store refs from the finalize stagers) — the unique ``image_id``
+   values partition p needs;
 2. one small broadcast: an (image_id, part) pairs table, ``ray.put`` once
    and zero-copy in every range task. Shared images (one id referenced by
    entities in several partitions) appear once per needing partition;
@@ -73,29 +72,21 @@ def row_group_ranges(path: str, max_ranges: int = 8) -> list[list[int]]:
 
 
 def read_staging_file(path: str, columns=None) -> pa.Table:
-    """Read one small staging or bytes-part file. Same table (schema
+    """Read one small payload-delta or bytes-part file. Same table (schema
     metadata included) as ``pq.read_table``, at a third of its fixed
     per-file cost: no dataset discovery and no thread pool."""
     return pq.ParquetFile(path).read(columns, use_threads=False)
 
 
 @ray.remote
-def _partition_image_ids(pdir: str) -> pa.Array:
-    """Unique image_ids a staged images_out partition needs (column-pruned:
-    reads only ``image_id`` from each staging/compact parquet)."""
-    files = sorted(
-        os.path.join(pdir, f) for f in os.listdir(pdir)
-        if f.endswith(".parquet")
-    )
-    if not files:
-        return pa.array([], pa.string())
-    cols = [read_staging_file(f, ["image_id"])["image_id"] for f in files]
+def _partition_image_ids(*blocks: pa.RecordBatch) -> pa.Array:
+    """Unique image_ids one images_out partition needs, from its staged
+    blocks (top-level arguments, so Ray hands them over as batches)."""
     import pyarrow.compute as pc
 
-    combined = pa.chunked_array(
-        [c for col in cols for c in col.chunks] or [pa.array([], pa.string())]
-    )
-    out = pc.unique(pc.drop_null(combined))
+    ids = pa.chunked_array(
+        [b.column("image_id") for b in blocks if b.num_rows], pa.string())
+    out = pc.unique(pc.drop_null(ids))
     return out.combine_chunks() if isinstance(out, pa.ChunkedArray) else out
 
 
@@ -140,29 +131,21 @@ def _split_row_groups(images_path: str, groups: list, pairs_ref_t,
     return written
 
 
-def shuffle_image_bytes_to_parts(images_out_path: str, images_path: str,
+def shuffle_image_bytes_to_parts(part_blocks: list[list], images_path: str,
                                  out_dir: str) -> tuple:
     """Run the co-partition pass over ``images_path`` (the corpus
-    ``images.parquet``); returns the merge-side ``images_arg``
+    ``images.parquet``); ``part_blocks[p]`` lists the refs of images_out
+    partition p's staged blocks. Returns the merge-side ``images_arg``
     ``("parts", parts_dir)``. Idempotent per run: a stale parts dir
     (crashed previous finalize) is cleared first — the shuffle re-derives
-    everything from staging + the corpus, so replay is value-safe."""
+    everything from the blocks + the corpus, so replay is value-safe."""
     import shutil
 
-    staging = os.path.join(images_out_path, "staging")
-    pdirs = sorted(
-        d for d in (os.listdir(staging) if os.path.isdir(staging) else [])
-        if d.startswith("p=")
-    )
     parts_dir = os.path.join(out_dir, "images_parts")
     shutil.rmtree(parts_dir, ignore_errors=True)
     os.makedirs(parts_dir, exist_ok=True)
-    if not pdirs:
-        return ("parts", parts_dir)
-    id_refs = {
-        int(d[2:]): _partition_image_ids.remote(os.path.join(staging, d))
-        for d in pdirs
-    }
+    id_refs = {p: _partition_image_ids.remote(*blocks)
+               for p, blocks in enumerate(part_blocks) if blocks}
     id_cols, part_cols = [], []
     for p, ref in id_refs.items():
         ids = ray.get(ref)

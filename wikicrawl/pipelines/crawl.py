@@ -19,12 +19,13 @@ Ray-Data-first (SURVEY §3.4), LSM-shaped writes:
         ─▶ checkpoint manifest commits FIFO after the wave's job
     ─▶ finalize, for fresh and resumed runs alike: one stager task per
        fetch slot derives the five output tables from a contiguous share
-       of the committed deltas, a bounded batch at a time, into every
-       table's partition staging; then one merge task per staged (table,
-       partition). Image BYTES attach at this single write (broadcast ref
-       below the size limit; above it, co-partitioned straight from
-       images.parquet to the output partitions by
-       pipelines/bytes_shuffle.py).
+       of the committed deltas, a bounded batch at a time, and yields
+       each batch's (table, partition) blocks into the object store; then
+       one merge task per (table, partition) takes that partition's
+       blocks as its arguments — a map→reduce exchange with no files.
+       Image BYTES attach at this single write (broadcast ref below the
+       size limit; above it, co-partitioned straight from images.parquet
+       to the output partitions by pipelines/bytes_shuffle.py).
 
 State plane lifetime: the seen-set and frontier shard actors live for the
 Ray session. Each crawl leases the idle pair, reset in place to this
@@ -34,7 +35,7 @@ emptied after its last call, or kills it if the crawl failed
 
 Code layout: ``crawl()`` leases the state plane and ``_run_crawl`` wires
 the parts, each taking its state as arguments, inside one try/finally that
-joins every writer, commit and stager:
+joins every writer and commit:
 
 - ``_restore``: resume from the last manifest;
 - ``_broadcast_corpus``: the corpus tables as Ray objects, read by tasks;
@@ -183,15 +184,33 @@ def _read_row_groups(path: str, groups: list) -> pa.Table:
     return pq.ParquetFile(path).read_row_groups(groups).combine_chunks()
 
 
+def _fault_once(marker: str) -> None:
+    """Fault-injection hook (tests only): the FIRST task to claim
+    ``marker`` under ``$WIKICRAWL_FAULT_ONCE_DIR`` dies as a hard worker
+    crash; Ray's default task retry re-executes it, and the retried run
+    must be value-identical (asserted by scripts/fault_retry_smoke.py).
+    A stale env var pointing at a missing dir degrades to a no-op, so it
+    cannot exhaust Ray retries on every attempt (ADVICE r3)."""
+    fault_dir = os.environ.get("WIKICRAWL_FAULT_ONCE_DIR")
+    if fault_dir:
+        try:
+            os.close(os.open(os.path.join(fault_dir, marker),
+                             os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        except OSError:  # claimed already, or no such dir
+            return
+        os._exit(1)
+
+
 @ray.remote
 def _fetch_slice_task(slice_tbl: pa.Table, sitelinks_ref_t, pages_ref_t,
                       delta_part: str, robots, discover: bool):
     """ONE fused task per wave slice: fetch+extract against the
     worker-global corpus cache, link-candidate derivation, the delta part
     write, and the wave counters returned to the driver. That part is the
-    task's one file: the five output tables are derived from the committed
+    task's one file (fixed name, atomic rename, so a retry rewrites it
+    identically): the five output tables are derived from the committed
     deltas at finalize (_stage_deltas_task), a few large batches per
-    crawl, so a tick pays no per-(table, partition) staging write.
+    crawl, so a tick pays no per-(table, partition) split.
     The bodies are the same batch functions the map_batches form uses —
     fusing them into a raw task removed the per-wave streaming-executor
     setup (serial from_arrow puts + executor overhead), a measured
@@ -206,25 +225,7 @@ def _fetch_slice_task(slice_tbl: pa.Table, sitelinks_ref_t, pages_ref_t,
         make_link_candidates_fn,
     )
 
-    # fault-injection hook (tests only): the FIRST task to claim the
-    # marker dies as a hard worker crash BEFORE any side effect; Ray's
-    # default task retry re-executes it, and the delta part write is
-    # idempotent (fixed name + atomic rename), so the retried run must be
-    # value-identical — asserted by scripts/fault_retry_smoke
-    fault_dir = os.environ.get("WIKICRAWL_FAULT_ONCE_DIR")
-    if fault_dir:
-        try:
-            fd = os.open(os.path.join(fault_dir, "died"),
-                         os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            os.close(fd)
-            os._exit(1)
-        except FileExistsError:
-            pass
-        except OSError:
-            # stale env var pointing at a missing dir must degrade to a
-            # no-op, not exhaust Ray retries on every attempt (ADVICE r3)
-            pass
-
+    _fault_once("died")  # tests only: before any side effect
     _cpu0, _w0 = _t.thread_time(), _t.time()
     wiki = _cached_wiki(sitelinks_ref_t[0], pages_ref_t[0])
     payload = FetchExtract.run(wiki, slice_tbl)
@@ -363,62 +364,44 @@ def owned_seed_batches(corpus_dir: str, wave_size: int):
     yield from stream.iter_batches(batch_size=wave_size, batch_format="pyarrow")
 
 
-def _write_staging_files(t: pa.Table, staging: str, key: list[str],
-                         nparts: int) -> list[int]:
-    """Split one derived batch by target partition and write one staging
-    parquet per touched partition. Names derive from the FULL key tuples so
-    distinct batches never collide and a replay overwrites identical files
-    (resume-safe). Row order inside a file is crawl order; the cross-file
-    merge order comes from the ``_seq`` column each row carries."""
-    import hashlib as _hashlib
-
-    parts = key_partition(t[key[0]].to_pylist(), nparts)
-    touched = []
-    for p in sorted(set(parts.tolist())):
-        sub = t.filter(pa.array(parts == p))
-        h = _hashlib.blake2b(digest_size=10)
-        for kc in key:
-            h.update("|".join(str(v) for v in sub[kc].to_pylist()).encode())
-            h.update(b"\x1f")
-        name = h.hexdigest()
-        pdir = os.path.join(staging, f"p={p:05d}")
-        os.makedirs(pdir, exist_ok=True)
-        tmp = os.path.join(pdir, f"{name}.parquet.tmp")
-        pq.write_table(sub, tmp)
-        os.replace(tmp, os.path.join(pdir, f"{name}.parquet"))
-        touched.append(p)
-    return touched
+def _split_by_partition(t: pa.Table, key: list[str],
+                        nparts: int) -> list[pa.RecordBatch]:
+    """Split one derived batch into its ``nparts`` target-partition blocks,
+    in partition order, empty ones included. Row order inside a block is
+    crawl order; across blocks the merge order comes from the ``_seq``
+    column each row carries. Blocks are RecordBatches, not Tables: Ray
+    pickles a RecordBatch with Arrow's own zero-copy reducer, and puts one
+    in about half the time of a Table, which goes through Ray's Python
+    per-column reducer."""
+    batches = t.combine_chunks().to_batches()
+    rb = batches[0] if batches else pa.RecordBatch.from_pylist([], t.schema)
+    parts = key_partition(rb.column(key[0]).to_pylist(), nparts)
+    return [rb.filter(pa.array(parts == p)) for p in range(nparts)]
 
 
 @ray.remote
 def _merge_partition_task(name: str, path: str, base_schema: pa.Schema,
                           key: list[str], nparts: int, prune, order_col: str,
-                          p: int, clock: int,
-                          images_arg=None) -> tuple[str, dict]:
-    """Merge one partition's staging files into its partition file (single
-    writer per partition, SURVEY §7.4). Duplicate keys across staging files
-    resolve by the rows' _seq (crawl order) inside merge_partition.
+                          p: int, clock: int, images_arg,
+                          *blocks: pa.RecordBatch) -> tuple[str, dict]:
+    """Merge one partition's staged blocks (top-level arguments, so Ray
+    hands them over as RecordBatches) into its partition file (single writer per
+    partition, SURVEY §7.4). Duplicate keys across blocks resolve by the
+    rows' _seq (crawl order) inside merge_partition.
 
-    ``images_arg``: ``("ref", ObjectRef)`` (nested so Ray does NOT
-    auto-deref the broadcast table into every task argument) or
-    ``("parts", dir)`` (bytes co-partitioned by pipelines/bytes_shuffle.py)
-    — the images binary payload is attached HERE, at the final write:
-    staging files carry only the (small) refs, so bytes move from their
-    source to disk exactly once."""
-    # every stager has been joined before any merge task starts, so the
-    # staging dir is final: one listing is a consistent snapshot
-    pdir = os.path.join(path, "staging", f"p={p:05d}")
-    files = sorted(
-        os.path.join(pdir, f) for f in os.listdir(pdir)
-        if f.endswith(".parquet")
-    )
-    if not files:
+    ``images_arg``: None (not images_out), ``("ref", ObjectRef)`` (nested
+    so Ray does NOT auto-deref the broadcast table into every task
+    argument) or ``("parts", dir)`` (bytes co-partitioned by
+    pipelines/bytes_shuffle.py) — the images binary payload is attached
+    HERE, at the final write: the staged blocks carry only the (small)
+    refs, so bytes move from their source to disk exactly once."""
+    staged = [b for b in blocks if b.num_rows]
+    if not staged:
         return name, {"inserted": 0, "updated": 0, "deleted": 0}
-    # combine: Arrow `take` on a column with many chunks (one per staging
-    # file) degrades to per-element chunk search — one compaction copy
-    # here makes every downstream kernel O(1) per element
-    chunk = pa.concat_tables(
-        [read_staging_file(f) for f in files]).combine_chunks()
+    # combine: Arrow `take` on a column with many chunks (one per block)
+    # degrades to per-element chunk search — one compaction copy here
+    # makes every downstream kernel O(1) per element
+    chunk = pa.Table.from_batches(staged).combine_chunks()
     if images_arg is not None:
         if images_arg[0] == "parts":
             # finalize-phase co-partitioned bytes (bytes_shuffle.py): this
@@ -475,40 +458,52 @@ _DERIVE = {
 }
 
 
-def _stage_payload(payload: pa.Table, specs: dict) -> None:
-    """Derive ALL five output tables from one payload batch and append
-    their partition staging files (one payload read total). ``specs``:
-    table name -> (staging dir, key columns, n_partitions)."""
-    for name, fn in _DERIVE.items():
-        derived = fn(payload)
-        if derived.num_rows:
-            _write_staging_files(derived, *specs[name])
+def _stage_payload(payload: pa.Table, specs: dict):
+    """Derive the output tables from one payload batch (one payload read
+    total) and yield each one's partition blocks, in ``specs`` order.
+    ``specs``: table name -> (key columns, n_partitions)."""
+    for name, (key, nparts) in specs.items():
+        yield from _split_by_partition(_DERIVE[name](payload), key, nparts)
 
 
 # Payload rows a finalize stager concatenates for one _stage_payload call.
-# A batch writes at most one staging file per (table, partition), and a
-# stager holds one batch at a time, so its memory is bounded at any crawl
-# size while the file count stays a few per partition.
+# A batch yields one block per (table, partition), and a stager holds one
+# batch at a time, so its memory is bounded at any crawl size while the
+# block count stays a few per partition.
 STAGE_BATCH_ROWS = 4096
 
 
-@ray.remote
-def _stage_deltas_task(parts: list[str], specs: dict) -> int:
-    """Stage a contiguous, crawl-ordered share of the committed payload
-    delta parts, up to ``STAGE_BATCH_ROWS`` rows per ``_stage_payload``
-    call. Returns the number of batches staged."""
-    batch, rows, n_batches = [], 0, 0
+def _payload_batches(parts: list[str]):
+    """Concatenate consecutive delta parts, whole parts only, into batches
+    of up to ``STAGE_BATCH_ROWS`` rows (one part above it is its own)."""
+    batch, rows = [], 0
     for part in parts:
         t = read_staging_file(part)
         if batch and rows + t.num_rows > STAGE_BATCH_ROWS:
-            _stage_payload(pa.concat_tables(batch), specs)
-            batch, rows, n_batches = [], 0, n_batches + 1
+            yield pa.concat_tables(batch)
+            batch, rows = [], 0
         batch.append(t)
         rows += t.num_rows
     if batch:
-        _stage_payload(pa.concat_tables(batch), specs)
+        yield pa.concat_tables(batch)
+
+
+@ray.remote(num_returns="streaming")
+def _stage_deltas_task(parts: list[str], specs: dict):
+    """Stage a contiguous, crawl-ordered share of the committed payload
+    delta parts, a ``_payload_batches`` batch at a time. Each batch yields
+    its blocks in fixed (table, partition) order, empty ones included, so
+    a ref's position names its block; the last yield is the number of
+    batches. Blocks live only as this task's outputs: a retry (or a
+    lineage reconstruction) re-derives them identically from the deltas."""
+    n_batches = 0
+    for payload in _payload_batches(parts):
+        for block in _stage_payload(payload, specs):
+            yield block
+            if n_batches == 0:
+                _fault_once("stager_died")  # tests only: after one yield
         n_batches += 1
-    return n_batches
+    yield n_batches
 
 
 # run-scoped state: deltas, logs, manifests and journals belong to one run
@@ -524,24 +519,21 @@ def _reset_dirs(paths) -> None:
         os.makedirs(d, exist_ok=True)
 
 
-def _merge_staged(tables: dict[str, KeyedTable], images_arg, clock: int) -> dict:
-    """One Ray merge task per staged (table, partition) — touched partitions
-    are discovered from the staging directories. No all-to-all exchange."""
+def _merge_staged(tables: dict[str, KeyedTable], blocks: dict, images_arg,
+                  clock: int) -> dict:
+    """One Ray merge task per (table, partition), handed that partition's
+    staged blocks (``blocks[name][p]``, a list of refs in crawl order).
+    No all-to-all exchange."""
     refs = []
     for name, tbl in tables.items():
-        staging = os.path.join(tbl.path, "staging")
-        if not os.path.isdir(staging):
-            continue
         base_schema = pa.schema(
             [f for f in tbl.schema if not f.name.startswith("_")]
         )
-        for d in sorted(os.listdir(staging)):
-            if not d.startswith("p="):
-                continue
+        for p, part_blocks in enumerate(blocks[name]):
             refs.append(_merge_partition_task.remote(
                 name, tbl.path, base_schema, tbl.key, tbl.n_partitions,
-                tbl.prune_group, tbl.order_col, int(d[2:]), clock,
-                images_arg if name == "images_out" else None,
+                tbl.prune_group, tbl.order_col, p, clock,
+                images_arg if name == "images_out" else None, *part_blocks,
             ))
     counters: dict[str, dict] = {
         name: {"inserted": 0, "updated": 0, "deleted": 0} for name in tables
@@ -549,8 +541,6 @@ def _merge_staged(tables: dict[str, KeyedTable], images_arg, clock: int) -> dict
     for name, c in ray.get(refs):
         for k in c:
             counters[name][k] += c[k]
-    for tbl in tables.values():
-        shutil.rmtree(os.path.join(tbl.path, "staging"), ignore_errors=True)
     return counters
 
 
@@ -1220,39 +1210,58 @@ def _commit_wave(ckpt: CheckpointLog, ledger: _Ledger, manifest: dict,
 
 # ---- finalizer ---------------------------------------------------------------
 
-def _finalize(run: _Run, tables: dict, images_arg, clock: int,
-              stage_refs: list) -> int | None:
+def _blocks_by_partition(specs: dict, streams: list[list]) -> dict:
+    """Regroup the stagers' block refs by position: ``out[name][p]`` lists
+    partition p's blocks of table ``name`` in crawl order (stager, then
+    batch)."""
+    slots = [(name, p) for name, (_, nparts) in specs.items()
+             for p in range(nparts)]
+    out = {name: [[] for _ in range(nparts)]
+           for name, (_, nparts) in specs.items()}
+    for refs in streams:
+        for i, ref in enumerate(refs):
+            name, p = slots[i % len(slots)]
+            out[name][p].append(ref)
+    return out
+
+
+def _finalize(run: _Run, tables: dict, images_arg, clock: int) -> int | None:
     """Fold the payload deltas into the five keyed tables: stage every
     committed delta part (this run's and, on resume, the earlier
     attempt's) with one stager per fetch slot, each over a contiguous
-    share in path order, which is crawl order; co-partition the image
-    bytes when they were not broadcast; merge each staged partition.
-    ``stage_refs`` collects the stager refs for the caller's exit to wait
-    on. Returns the number of staging batches (None: nothing to stage)."""
+    share in path order, which is crawl order, into (table, partition)
+    blocks in the object store; co-partition the image bytes when they
+    were not broadcast; merge each partition's blocks. Returns the number
+    of staging batches (None: nothing to stage)."""
     ledger = run.ledger
     t0 = time.time()
     deltas = sorted(glob.glob(
         os.path.join(run.path("payload"), "wave-*", "part-*.parquet")))
     if not deltas:
         return None
-    specs = {name: (os.path.join(tbl.path, "staging"), tbl.key, tbl.n_partitions)
-             for name, tbl in tables.items()}
+    specs = {name: (tbl.key, tbl.n_partitions) for name, tbl in tables.items()}
     n = min(run.fetch_slots, len(deltas))
     cuts = [len(deltas) * i // n for i in range(n + 1)]
-    stage_refs.extend(
-        _stage_deltas_task.options(**_SPREAD).remote(deltas[a:b], specs)
-        for a, b in zip(cuts, cuts[1:]))
-    n_batches = sum(ray.get(stage_refs))
+    stage = _stage_deltas_task.options(**_SPREAD)
+    gens = [stage.remote(deltas[a:b], specs) for a, b in zip(cuts, cuts[1:])]
+    # read the streams once their stagers ended: asking for a ref before
+    # its stager yielded it waits a round trip per ref, which measured
+    # about twice the whole stage
+    ray.wait([g.completed() for g in gens], num_returns=len(gens))
+    streams = [list(g) for g in gens]
+    # each stream ends with its batch count, or with its stager's error
+    n_batches = sum(ray.get([refs.pop() for refs in streams]))
+    blocks = _blocks_by_partition(specs, streams)
     t0 = ledger.lap("finalize_stage", t0)
     if images_arg is None:
         # co-partition the binary corpus to the OUTPUT partitioning once
         # instead of every merge task reading all of it
         # (pipelines/bytes_shuffle.py: design + measurements)
         images_arg = shuffle_image_bytes_to_parts(
-            tables["images_out"].path,
+            blocks["images_out"],
             os.path.join(run.cfg.corpus_dir, "images.parquet"), run.cfg.out_dir)
         t0 = ledger.lap("finalize_bytes_shuffle", t0)
-    _merge_staged(tables, images_arg, clock)
+    _merge_staged(tables, blocks, images_arg, clock)
     ledger.lap("finalize_merges", t0)
     if images_arg[0] == "parts":
         shutil.rmtree(images_arg[1], ignore_errors=True)
@@ -1270,8 +1279,6 @@ def _run_crawl(cfg: CrawlConfig, robots: dict, seen: ShardedSeenSet,
         # attempt must not leak into this one
         _reset_dirs(os.path.join(cfg.out_dir, sub) for sub in _RUN_DIRS)
     tables = open_tables(cfg.out_dir, cfg.n_table_partitions)
-    # staging is run-scoped derived state too: cleared on every start
-    _reset_dirs(os.path.join(tbl.path, "staging") for tbl in tables.values())
     # fetch tasks of one wave that can run at once: slicing a wave finer
     # than the cluster has CPUs runs the slices one after another and only
     # adds each task's fixed cost; finalize runs one stager per slot too
@@ -1294,9 +1301,6 @@ def _run_crawl(cfg: CrawlConfig, robots: dict, seen: ShardedSeenSet,
     writes = ThreadPoolExecutor(max_workers=max(1, cfg.write_workers))
     commits = ThreadPoolExecutor(max_workers=1)
     ctl = _WaveController(run, ckpt, cursor, writes, commits)
-    # finalize's stager tasks; the exit waits for every one of them, so no
-    # staging write outlives crawl(), even when another stager failed
-    stage_refs: list = []
     try:
         halted = ctl.run_waves(_seed_waves(cfg, slices, sitelinks, robots))
         if not halted:
@@ -1304,7 +1308,7 @@ def _run_crawl(cfg: CrawlConfig, robots: dict, seen: ShardedSeenSet,
         ctl.join()
         metrics = dict(ledger.committed)
         if not halted:
-            n_batches = _finalize(run, tables, images_arg, ctl.wave, stage_refs)
+            n_batches = _finalize(run, tables, images_arg, ctl.wave)
             if n_batches is not None:
                 metrics["staging_batches"] = n_batches
         metrics["timings"] = ledger.timings()
@@ -1312,15 +1316,13 @@ def _run_crawl(cfg: CrawlConfig, robots: dict, seen: ShardedSeenSet,
         return CrawlResult(cfg.out_dir, tables, metrics)
     finally:
         # ONE exit path for a finished run, the simulated crash and any
-        # error: no background job, manifest commit or stager may outlive
-        # crawl() — a resume started right after a failure must not race
-        # the dead run's writers (queued work that never started is
-        # cancelled; a commit gated on a cancelled write fails instead of
-        # landing)
+        # error: no background job or manifest commit may outlive crawl()
+        # — a resume started right after a failure must not race the dead
+        # run's writers (queued work that never started is cancelled; a
+        # commit gated on a cancelled write fails instead of landing).
+        # Stagers write nothing: a failed run's blocks die with its refs.
         writes.shutdown(wait=True, cancel_futures=True)
         commits.shutdown(wait=True, cancel_futures=True)
-        if stage_refs:
-            ray.wait(stage_refs, num_returns=len(stage_refs))
 
 
 def read_crawl_log(out_dir: str) -> pa.Table:

@@ -361,8 +361,8 @@ PAYLOAD_SCHEMA = pa.schema(
         ("depth", pa.int32()),
         # global crawl sequence of the (entity, lang) fetch — carried through
         # every derived row so staged merges resolve cross-batch duplicate
-        # keys in CRAWL order (fr-overwrites-en semantics), never in
-        # staging-file-name order (ADVICE r1)
+        # keys in CRAWL order (fr-overwrites-en semantics), never in the
+        # order the staged blocks arrive (ADVICE r1)
         ("_seq", pa.int64()),
     ]
 )
